@@ -18,14 +18,18 @@ index matching is performed:
   ``RDIND`` pair executed by the BMU and the bitmaps are streamed into the
   BMU buffers by ``RDBMAP`` (Algorithm 2 of the paper).
 
-The batched implementations keep the outer (row, column) loop in Python but
-assemble each pair's merge sequence — which side advances at every step, and
-therefore which index/value loads are issued — with vectorized searchsorted
-arithmetic over the sorted index arrays, then scatter the per-step access
-columns into one trace segment. Because each pair appends its own segment,
-the streaming trace builder bounds peak trace memory by the chunk budget
-with no kernel-side changes (DESIGN.md section 10). Cost reports are
-bit-identical to the per-element reference kernels in
+The batched implementations loop in Python over the rows (block rows) of A
+only. One row's merges against *every* column of B are computed at once by
+:func:`segmented_merge` — a sort-and-searchsorted merge over composite
+``column * width + index`` keys, whose per-column stop is a prefix mask — and
+the row's accesses for all columns are scattered into one trace segment in
+the order the per-pair loop nest issues them: the column's pointer (or
+bitmap) load, the accesses of every merge step, then the ``C`` write.
+Accumulators are left-to-right sums from ``0.0`` (:func:`sequential_sums`),
+the order of the reference ``acc +=`` loop, because ``acc != 0.0`` decides
+whether the write is traced. A row segment larger than the chunk budget is
+split by the streaming trace builder (DESIGN.md section 10). Cost reports
+are bit-identical to the per-element reference kernels in
 :mod:`repro.kernels.legacy`, at any chunk size.
 
 Every function returns ``(C, CostReport)`` where ``C`` is a dense result
@@ -72,24 +76,113 @@ def _check_dims(a_shape, b_shape) -> None:
         raise ValueError(f"inner dimensions do not match: {a_shape} x {b_shape}")
 
 
-def _merge_path(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized two-pointer merge of two sorted unique index arrays.
+# --------------------------------------------------------------------------- #
+# Segmented merge and sequential accumulation
+# --------------------------------------------------------------------------- #
+def segment_keys(index: np.ndarray, ptr: np.ndarray, width: int) -> np.ndarray:
+    """Composite keys ``segment * width + index`` of a segmented sorted array.
 
-    Returns ``(ka, kb, match)``: the positions of both cursors at every merge
-    step (the merge stops when either side is exhausted, exactly like the
-    ``while ka < la and kb < lb`` loop) and whether the step was an index
-    match. Step ``t`` visits the ``t``-th distinct value of the combined
-    sequence, at which point each cursor has consumed all of its elements
-    smaller than that value.
+    Segment ``j`` is ``index[ptr[j]:ptr[j + 1]]``, sorted and unique with
+    values in ``[0, width)``, so the keys are sorted and unique globally.
     """
-    union = np.unique(np.concatenate([a, b]))
-    ka = np.searchsorted(a, union)
-    kb = np.searchsorted(b, union)
-    alive = (ka < a.size) & (kb < b.size)
-    steps = union.size if bool(alive.all()) else int(np.argmin(alive))
-    ka = ka[:steps]
-    kb = kb[:steps]
-    return ka, kb, a[ka] == b[kb]
+    ptr = np.asarray(ptr, dtype=np.int64)
+    segment = np.repeat(np.arange(ptr.size - 1, dtype=np.int64), np.diff(ptr))
+    return segment * width + np.asarray(index, dtype=np.int64)
+
+
+def segmented_merge(
+    row: np.ndarray, keys: np.ndarray, ptr: np.ndarray, width: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Two-pointer merges of one sorted row against every segment at once.
+
+    ``row`` holds sorted unique indices in ``[0, width)``; ``keys`` are the
+    :func:`segment_keys` of a segmented array with boundaries ``ptr``. Per
+    segment this is the ``while ka < la and kb < lb`` merge of ``row`` with
+    the segment: step ``t`` visits the ``t``-th distinct value of their
+    union, where each cursor has consumed its elements below that value. The
+    merge stops once either cursor is exhausted, which cuts a prefix of the
+    union within each segment, so one mask stops every merge exactly.
+
+    Returns ``(seg, ka, kb, match, steps)``: for every step, in segment-major
+    order, its segment, the cursor into ``row``, the *global* cursor into
+    ``keys`` and whether the step is an index match; then the step count of
+    every segment (zero for empty segments).
+    """
+    row = np.asarray(row, dtype=np.int64)
+    ptr = np.asarray(ptr, dtype=np.int64)
+    nonempty = np.flatnonzero(ptr[1:] > ptr[:-1])
+    union = np.concatenate(((nonempty[:, None] * width + row).reshape(-1), keys))
+    union.sort(kind="stable")  # two sorted runs: a single linear merge
+    if union.size:
+        fresh = np.empty(union.size, dtype=bool)
+        fresh[0] = True
+        np.not_equal(union[1:], union[:-1], out=fresh[1:])
+        union = union[fresh]
+    seg = union // width
+    ka = np.searchsorted(row, union - seg * width)
+    kb = np.searchsorted(keys, union)
+    alive = (ka < row.size) & (kb < ptr[seg + 1])
+    seg, ka, kb = seg[alive], ka[alive], kb[alive]
+    match = keys[kb] == seg * width + row[ka]
+    return seg, ka, kb, match, np.bincount(seg, minlength=ptr.size - 1)
+
+
+def sequential_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Left-to-right sums ``((0.0 + v0) + v1) + ...`` of consecutive groups.
+
+    ``values`` holds the groups back to back, ``counts[g]`` entries (rows)
+    for group ``g``; the result has one entry (row) per group. This is the
+    order of the reference kernels' ``acc +=`` loop, which pairwise
+    summation (``np.add.reduceat``, ``.sum()``) does not reproduce bit for
+    bit. The loop runs over the position inside a group, deepest groups
+    first, so it is as long as the largest group, not the number of groups.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    out = np.zeros((counts.size,) + values.shape[1:], dtype=np.float64)
+    if not counts.size or not values.shape[0]:
+        return out
+    order = np.argsort(-counts, kind="stable")
+    depth = counts[order]
+    first = exclusive_cumsum(counts)[order]
+    active = np.searchsorted(-depth, -np.arange(int(depth[0])), side="left")
+    acc = np.zeros_like(out)
+    for k, n in enumerate(active.tolist()):
+        acc[:n] += values[first[:n] + k]
+    out[order] = acc
+    return out
+
+
+def _row_segment(head: int, lead: int, body: np.ndarray, tail: np.ndarray):
+    """Allocate one row's trace segment and place its columns.
+
+    The segment is ``head`` row-level accesses, then per column of B
+    ``lead`` fixed accesses, ``body[j]`` merge accesses and ``tail[j]``
+    writes. Returns ``(ids, offsets, kinds, starts)``: the segment's columns
+    (kinds preset to streaming loads) and the position of each column's
+    first access.
+    """
+    lengths = lead + body + tail
+    starts = head + exclusive_cumsum(lengths)
+    total = head + int(lengths.sum())
+    return (
+        np.empty(total, dtype=np.int64),
+        np.empty(total, dtype=np.int64),
+        np.full(total, KIND_STREAM, dtype=np.uint8),
+        starts,
+    )
+
+
+def _step_positions(
+    base: np.ndarray, seg: np.ndarray, step_len: np.ndarray, body: np.ndarray
+) -> np.ndarray:
+    """Position of each step's first access within its row segment.
+
+    Steps are in segment-major order; step ``t`` of column ``seg[t]`` starts
+    at the column's body start ``base[seg[t]]`` plus the accesses of the
+    column's earlier steps (``body`` is the per-column total of
+    ``step_len``).
+    """
+    return base[seg] + exclusive_cumsum(step_len) - exclusive_cumsum(body)[seg]
 
 
 # --------------------------------------------------------------------------- #
@@ -116,85 +209,74 @@ def _spmm_csr_like(
     id_bri = builder.structure_id("B_row_ind")
     id_av = builder.structure_id("A_values")
     id_bv = builder.structure_id("B_values")
+    id_arp = builder.structure_id("A_row_ptr")
+    id_bcp = builder.structure_id("B_col_ptr")
+    id_c = builder.structure_id("C")
 
-    col_slices = []
-    for j in range(n_cols):
-        b_start, b_end = int(b_csc.col_ptr[j]), int(b_csc.col_ptr[j + 1])
-        col_slices.append(
-            (b_start, b_csc.row_ind[b_start:b_end], b_csc.values[b_start:b_end])
-        )
+    width = max(1, b_csc.rows)
+    b_ptr = b_csc.col_ptr.astype(np.int64, copy=False)
+    b_rows = b_csc.row_ind.astype(np.int64, copy=False)
+    b_keys = segment_keys(b_rows, b_ptr, width)
+    b_col = b_keys // width
+    col_ptr_offsets = (np.arange(n_cols, dtype=np.int64) + 1) * IDX
 
-    rows_visited = 0
     pairs_visited = 0
     total_steps = 0
     total_matches = 0
     for i in range(a_csr.rows):
-        rows_visited += 1
-        builder.add_one("A_row_ptr", (i + 1) * IDX, KIND_STREAM)
         a_start, a_end = int(a_csr.row_ptr[i]), int(a_csr.row_ptr[i + 1])
         if a_start == a_end:
+            builder.add_one("A_row_ptr", (i + 1) * IDX, KIND_STREAM)
             continue
+        pairs_visited += n_cols
         a_cols = a_csr.col_ind[a_start:a_end]
-        a_vals = a_csr.values[a_start:a_end]
-        for j in range(n_cols):
-            pairs_visited += 1
-            builder.add_one("B_col_ptr", (j + 1) * IDX, KIND_STREAM)
-            b_start, b_rows, b_vals = col_slices[j]
-            if b_rows.size == 0:
-                continue
-            if ideal_indexing:
-                # Matching positions known a priori: only touch the matches.
-                _, a_idx, b_idx = np.intersect1d(
-                    a_cols, b_rows, assume_unique=True, return_indices=True
-                )
-                n_match = a_idx.size
-                if n_match:
-                    total_matches += n_match
-                    ids = np.empty(2 * n_match, dtype=np.int64)
-                    offsets = np.empty(2 * n_match, dtype=np.int64)
-                    ids[0::2] = id_av
-                    offsets[0::2] = (a_start + a_idx) * VAL
-                    ids[1::2] = id_bv
-                    offsets[1::2] = (b_start + b_idx) * VAL
-                    builder.add_columns(
-                        ids, offsets, np.full(2 * n_match, KIND_STREAM, np.uint8)
-                    )
-                    acc = float((a_vals[a_idx] * b_vals[b_idx]).cumsum()[-1])
-                else:
-                    acc = 0.0
-            else:
-                ka, kb, match = _merge_path(a_cols, b_rows)
-                steps = ka.size
-                total_steps += steps
-                n_match = int(match.sum())
-                total_matches += n_match
-                lengths = np.where(match, 4, 2)
-                starts = exclusive_cumsum(lengths)
-                seg_len = 2 * steps + 2 * n_match
-                ids = np.empty(seg_len, dtype=np.int64)
-                offsets = np.empty(seg_len, dtype=np.int64)
-                # Index matching: load both indices and compare...
-                ids[starts] = id_aci
-                offsets[starts] = (a_start + ka) * IDX
-                ids[starts + 1] = id_bri
-                offsets[starts + 1] = (b_start + kb) * IDX
-                # ...then touch both values on a match.
-                match_starts = starts[match]
-                ids[match_starts + 2] = id_av
-                offsets[match_starts + 2] = (a_start + ka[match]) * VAL
-                ids[match_starts + 3] = id_bv
-                offsets[match_starts + 3] = (b_start + kb[match]) * VAL
-                builder.add_columns(ids, offsets, np.full(seg_len, KIND_STREAM, np.uint8))
-                acc = (
-                    float((a_vals[ka[match]] * b_vals[kb[match]]).cumsum()[-1])
-                    if n_match
-                    else 0.0
-                )
-            if acc != 0.0:
-                c[i, j] = acc
-                builder.add_one("C", (i * n_cols + j) * VAL, KIND_WRITE)
+        if ideal_indexing:
+            # Matching positions known a priori: only the matches are touched.
+            pos = np.searchsorted(a_cols, b_rows)
+            kb = np.flatnonzero(a_cols[np.minimum(pos, a_cols.size - 1)] == b_rows)
+            mseg, mka, mkb = b_col[kb], pos[kb], kb
+            counts = np.bincount(mseg, minlength=n_cols)
+            body = 2 * counts
+            value_len = np.full(kb.size, 2, dtype=np.int64)
+        else:
+            seg, ka, kb, match, steps = segmented_merge(a_cols, b_keys, b_ptr, width)
+            total_steps += ka.size
+            mseg, mka, mkb = seg[match], ka[match], kb[match]
+            counts = np.bincount(mseg, minlength=n_cols)
+            body = 2 * steps + 2 * counts
+        total_matches += mka.size
+        acc = sequential_sums(a_csr.values[a_start + mka] * b_csc.values[mkb], counts)
+        written = np.flatnonzero(acc != 0.0)
+        c[i, written] = acc[written]
+
+        ids, offsets, kinds, starts = _row_segment(1, 1, body, acc != 0.0)
+        ids[0] = id_arp
+        offsets[0] = (i + 1) * IDX
+        ids[starts] = id_bcp
+        offsets[starts] = col_ptr_offsets
+        if ideal_indexing:
+            value_pos = _step_positions(starts + 1, mseg, value_len, body)
+        else:
+            # Index matching: load both indices and compare...
+            pos = _step_positions(starts + 1, seg, 2 + 2 * match, body)
+            ids[pos] = id_aci
+            offsets[pos] = (a_start + ka) * IDX
+            ids[pos + 1] = id_bri
+            offsets[pos + 1] = kb * IDX
+            value_pos = pos[match] + 2
+        # ...then touch both values on a match.
+        ids[value_pos] = id_av
+        offsets[value_pos] = (a_start + mka) * VAL
+        ids[value_pos + 1] = id_bv
+        offsets[value_pos + 1] = mkb * VAL
+        write_pos = starts[written] + 1 + body[written]
+        ids[write_pos] = id_c
+        offsets[write_pos] = (i * n_cols + written) * VAL
+        kinds[write_pos] = KIND_WRITE
+        builder.add_columns(ids, offsets, kinds)
 
     instr.replay_trace(builder.build())
+    rows_visited = a_csr.rows
     per_step_index = 2 if not ideal_indexing else 0
     per_step_branch = costs.branch_per_nnz if not ideal_indexing else 0
     stores = int(np.count_nonzero(c))
@@ -253,8 +335,9 @@ def spmm_bcsr_instrumented(
     and each column of B, every stored block of the block row is matched
     against the B entries whose row index falls inside the block's column
     range. Each match multiplies a full block column (including padding
-    zeros) by the B value. Per pair, the advance/match structure of the
-    whole block row is derived from two searchsorted calls.
+    zeros) by the B value. Per block row, the advance/match structure of
+    every (column, block) pair is derived from two searchsorted calls over
+    B's composite column keys.
     """
     _check_dims(a_bcsr.shape, b_csc.shape)
     instr = KernelInstrumentation("spmm", "taco_bcsr", config)
@@ -271,93 +354,93 @@ def spmm_bcsr_instrumented(
     id_bri = builder.structure_id("B_row_ind")
     id_blk = builder.structure_id("A_blocks")
     id_bv = builder.structure_id("B_values")
+    id_brp = builder.structure_id("A_block_row_ptr")
+    id_bcp = builder.structure_id("B_col_ptr")
+    id_c = builder.structure_id("C")
     match_unit = 1 + br + 1
 
-    col_slices = []
-    for j in range(n_cols):
-        b_start, b_end = int(b_csc.col_ptr[j]), int(b_csc.col_ptr[j + 1])
-        col_slices.append(
-            (b_start, b_csc.row_ind[b_start:b_end], b_csc.values[b_start:b_end])
-        )
+    # Keys must separate columns even past the last block's padded edge.
+    width = max(1, a_bcsr.block_cols * bc, b_csc.rows)
+    b_ptr = b_csc.col_ptr.astype(np.int64, copy=False)
+    b_rows = b_csc.row_ind.astype(np.int64, copy=False)
+    b_keys = segment_keys(b_rows, b_ptr, width)
+    nonempty = np.flatnonzero(b_ptr[1:] > b_ptr[:-1])
+    col_ptr_offsets = (np.arange(n_cols, dtype=np.int64) + 1) * IDX
+    lanes = np.arange(br, dtype=np.int64)
 
-    block_rows_visited = 0
+    block_rows_visited = a_bcsr.block_rows
     pairs_visited = 0
     blocks_visited = 0
     total_skips = 0
     total_matches = 0
     total_stores = 0
     for bi in range(a_bcsr.block_rows):
-        block_rows_visited += 1
-        builder.add_one("A_block_row_ptr", (bi + 1) * IDX, KIND_STREAM)
         blk_start, blk_end = int(a_bcsr.block_row_ptr[bi]), int(a_bcsr.block_row_ptr[bi + 1])
         if blk_start == blk_end:
+            builder.add_one("A_block_row_ptr", (bi + 1) * IDX, KIND_STREAM)
             continue
+        pairs_visited += n_cols
         blocks = np.arange(blk_start, blk_end, dtype=np.int64)
-        bj = a_bcsr.block_col_ind[blk_start:blk_end].astype(np.int64, copy=False)
-        col_lo = bj * bc
-        col_hi = col_lo + bc
-        n_blk = blocks.size
-        for j in range(n_cols):
-            pairs_visited += 1
-            builder.add_one("B_col_ptr", (j + 1) * IDX, KIND_STREAM)
-            b_start, b_rows, b_vals = col_slices[j]
-            if b_rows.size == 0:
-                continue
-            blocks_visited += n_blk
-            s_lo = np.searchsorted(b_rows, col_lo)
-            s_hi = np.searchsorted(b_rows, col_hi)
-            kb_prev = np.concatenate(([0], s_lo[:-1]))
-            n_skip = s_lo - kb_prev
-            n_match = s_hi - s_lo
-            total_skips += int(n_skip.sum())
-            matches_here = int(n_match.sum())
-            total_matches += matches_here
-            lengths = 1 + n_skip + match_unit * n_match
-            starts = exclusive_cumsum(lengths)
-            seg_len = int(lengths.sum())
-            ids = np.empty(seg_len, dtype=np.int64)
-            offsets = np.empty(seg_len, dtype=np.int64)
-            kinds = np.full(seg_len, KIND_STREAM, dtype=np.uint8)
-            # Per block: its column-index load...
-            ids[starts] = id_bci
-            offsets[starts] = blocks * IDX
-            # ...the B_row_ind loads that advance the column pointer...
-            if n_skip.any():
-                skip_pos = np.repeat(starts + 1, n_skip) + grouped_arange(n_skip)
-                skip_kb = np.repeat(kb_prev, n_skip) + grouped_arange(n_skip)
-                ids[skip_pos] = id_bri
-                offsets[skip_pos] = (b_start + skip_kb) * IDX
-            # ...and one match event per B entry inside the block's columns.
-            if matches_here:
-                event = np.repeat(starts + 1 + n_skip, n_match) + match_unit * grouped_arange(
-                    n_match
-                )
-                kk = np.repeat(s_lo, n_match) + grouped_arange(n_match)
-                blk_of = np.repeat(blocks, n_match)
-                local_col = b_rows[kk].astype(np.int64) - np.repeat(col_lo, n_match)
-                ids[event] = id_bri
-                offsets[event] = (b_start + kk) * IDX
-                span = event[:, None] + 1 + np.arange(br)
-                ids[span] = id_blk
-                offsets[span] = (
-                    blk_of[:, None] * block_elems + np.arange(br) * bc + local_col[:, None]
-                ) * VAL
-                ids[event + 1 + br] = id_bv
-                offsets[event + 1 + br] = (b_start + kk) * VAL
-                kinds[event + 1 + br] = KIND_DEPENDENT
-            builder.add_columns(ids, offsets, kinds)
-            if matches_here:
-                rel = np.repeat(blocks - blk_start, n_match)
-                products = (
-                    a_bcsr.blocks[blk_start:blk_end][rel, :, local_col] * b_vals[kk][:, None]
-                )
-                c[bi * br:(bi + 1) * br, j] += products.sum(axis=0)
-                total_stores += br
-                builder.add(
-                    "C",
-                    ((bi * br + np.arange(br, dtype=np.int64)) * n_cols + j) * VAL,
-                    KIND_WRITE,
-                )
+        col_lo = a_bcsr.block_col_ind[blk_start:blk_end].astype(np.int64) * bc
+        # (non-empty column, block) grid, flattened column-major by column.
+        grid_lo = (nonempty[:, None] * width + col_lo).reshape(-1)
+        s_lo = np.searchsorted(b_keys, grid_lo)
+        s_hi = np.searchsorted(b_keys, grid_lo + bc)
+        kb_prev = np.empty_like(s_lo)
+        if s_lo.size:
+            kb_prev[1:] = s_lo[:-1]
+            kb_prev[:: blocks.size] = b_ptr[nonempty]
+        n_skip = s_lo - kb_prev
+        n_match = s_hi - s_lo
+        blocks_visited += s_lo.size
+        total_skips += int(n_skip.sum())
+        total_matches += int(n_match.sum())
+
+        grid_seg = np.repeat(nonempty, blocks.size)
+        block_len = 1 + n_skip + match_unit * n_match
+        body = np.bincount(grid_seg, weights=block_len, minlength=n_cols).astype(np.int64)
+        col_matches = np.bincount(grid_seg, weights=n_match, minlength=n_cols).astype(np.int64)
+        touched = np.flatnonzero(col_matches)
+        ids, offsets, kinds, starts = _row_segment(1, 1, body, br * (col_matches > 0))
+        ids[0] = id_brp
+        offsets[0] = (bi + 1) * IDX
+        ids[starts] = id_bcp
+        offsets[starts] = col_ptr_offsets
+        # Per block: its column-index load...
+        block_pos = _step_positions(starts + 1, grid_seg, block_len, body)
+        grid_blocks = np.tile(blocks, nonempty.size)
+        ids[block_pos] = id_bci
+        offsets[block_pos] = grid_blocks * IDX
+        # ...the B_row_ind loads that advance the column pointer...
+        skip_rank = grouped_arange(n_skip)
+        skip_pos = np.repeat(block_pos + 1, n_skip) + skip_rank
+        ids[skip_pos] = id_bri
+        offsets[skip_pos] = (np.repeat(kb_prev, n_skip) + skip_rank) * IDX
+        # ...and one match event per B entry inside the block's columns.
+        match_rank = grouped_arange(n_match)
+        event = np.repeat(block_pos + 1 + n_skip, n_match) + match_unit * match_rank
+        kk = np.repeat(s_lo, n_match) + match_rank
+        blk_of = np.repeat(grid_blocks, n_match)
+        local_col = b_rows[kk] - np.repeat(np.tile(col_lo, nonempty.size), n_match)
+        ids[event] = id_bri
+        offsets[event] = kk * IDX
+        span = event[:, None] + 1 + lanes
+        ids[span] = id_blk
+        offsets[span] = (
+            blk_of[:, None] * block_elems + lanes * bc + local_col[:, None]
+        ) * VAL
+        ids[event + 1 + br] = id_bv
+        offsets[event + 1 + br] = kk * VAL
+        kinds[event + 1 + br] = KIND_DEPENDENT
+        products = a_bcsr.blocks[blk_of, :, local_col] * b_csc.values[kk][:, None]
+        acc = sequential_sums(products, col_matches)
+        c[bi * br:(bi + 1) * br, touched] += acc[touched].T
+        total_stores += br * touched.size
+        write_pos = (starts[touched] + 1 + body[touched])[:, None] + lanes
+        ids[write_pos] = id_c
+        offsets[write_pos] = ((bi * br + lanes) * n_cols + touched[:, None]) * VAL
+        kinds[write_pos] = KIND_WRITE
+        builder.add_columns(ids, offsets, kinds)
 
     instr.replay_trace(builder.build())
     instr.count_batch(
@@ -434,71 +517,71 @@ def _spmm_smash_common(
     builder = instr.trace_builder()
     id_an = builder.structure_id("A_nza")
     id_bn = builder.structure_id("B_nza")
+    id_abm = builder.structure_id("A_bitmap0")
+    id_bbm = builder.structure_id("B_bitmap0")
+    id_c = builder.structure_id("C")
 
+    width = max(1, a.cols)
+    b_keys = segment_keys(b_offsets, b_bounds, width)
     bitmap_words_per_row = max(1, -(-(a.cols // block) // 64))
-    word_offsets = np.arange(bitmap_words_per_row, dtype=np.int64) * 8
-    bitmap_loads = 0
-    bmu_reads = 0
+    # The BMU streams a bitmap window with one RDBMAP access; the software
+    # scan loads every word of it.
+    lead = 1 if hardware else bitmap_words_per_row
+    window = np.arange(lead, dtype=np.int64) * 8
+    col_windows = np.arange(n_cols, dtype=np.int64)[:, None] * bitmap_words_per_row * 8 + window
+    elements = np.arange(block, dtype=np.int64)
+    pairs_visited = 0
     total_steps = 0
     total_matches = 0
     stores = 0
 
     for i in range(n_rows):
-        if hardware:
-            bmu_reads += 1
-            builder.add_one("A_bitmap0", i * bitmap_words_per_row * 8, KIND_STREAM)
-        else:
-            bitmap_loads += bitmap_words_per_row
-            builder.add("A_bitmap0", i * bitmap_words_per_row * 8 + word_offsets, KIND_STREAM)
+        row_window = i * bitmap_words_per_row * 8 + window
         lo, hi = int(a_bounds[i]), int(a_bounds[i + 1])
         if lo == hi:
+            builder.add("A_bitmap0", row_window, KIND_STREAM)
             continue
-        row_offsets = a_offsets[lo:hi]
-        row_nza = a_nza[lo:hi]
-        for j in range(n_cols):
-            if hardware:
-                bmu_reads += 1
-                builder.add_one("B_bitmap0", j * bitmap_words_per_row * 8, KIND_STREAM)
-            else:
-                bitmap_loads += bitmap_words_per_row
-                builder.add(
-                    "B_bitmap0", j * bitmap_words_per_row * 8 + word_offsets, KIND_STREAM
-                )
-            blo, bhi = int(b_bounds[j]), int(b_bounds[j + 1])
-            if blo == bhi:
-                continue
-            col_offsets = b_offsets[blo:bhi]
-            col_nza = b_nza[blo:bhi]
-            ka, kb, match = _merge_path(row_offsets, col_offsets)
-            total_steps += ka.size
-            n_match = int(match.sum())
-            if n_match:
-                total_matches += n_match
-                nza_a = row_nza[ka[match]]
-                nza_b = col_nza[kb[match]]
-                seg = np.empty((n_match, block, 2), dtype=np.int64)
-                seg[:, :, 0] = (nza_a[:, None] * block + np.arange(block)) * VAL
-                seg[:, :, 1] = (nza_b[:, None] * block + np.arange(block)) * VAL
-                ids = np.empty((n_match, block, 2), dtype=np.int64)
-                ids[:, :, 0] = id_an
-                ids[:, :, 1] = id_bn
-                builder.add_columns(
-                    ids.reshape(-1),
-                    seg.reshape(-1),
-                    np.full(n_match * block * 2, KIND_STREAM, np.uint8),
-                )
-                dots = np.einsum("ij,ij->i", a_data[nza_a], b_data[nza_b])
-                acc = float(dots.cumsum()[-1])
-            else:
-                acc = 0.0
-            if acc != 0.0:
-                c[i, j] = acc
-                stores += 1
-                builder.add_one("C", (i * n_cols + j) * VAL, KIND_WRITE)
+        pairs_visited += n_cols
+        seg, ka, kb, match, _ = segmented_merge(a_offsets[lo:hi], b_keys, b_bounds, width)
+        total_steps += ka.size
+        mseg = seg[match]
+        nza_a = a_nza[lo + ka[match]]
+        nza_b = b_nza[kb[match]]
+        total_matches += nza_a.size
+        counts = np.bincount(mseg, minlength=n_cols)
+        dots = np.einsum("ij,ij->i", a_data[nza_a], b_data[nza_b])
+        acc = sequential_sums(dots, counts)
+        written = np.flatnonzero(acc != 0.0)
+        c[i, written] = acc[written]
+        stores += written.size
+
+        body = 2 * block * counts
+        ids, offsets, kinds, starts = _row_segment(lead, lead, body, acc != 0.0)
+        ids[:lead] = id_abm
+        offsets[:lead] = row_window
+        head = starts[:, None] + np.arange(lead)
+        ids[head] = id_bbm
+        offsets[head] = col_windows
+        # Each matched block pair: its elements, interleaved A then B.
+        match_pos = _step_positions(
+            starts + lead, mseg, np.full(mseg.size, 2 * block, dtype=np.int64), body
+        )
+        span = match_pos[:, None] + 2 * elements
+        ids[span] = id_an
+        offsets[span] = (nza_a[:, None] * block + elements) * VAL
+        ids[span + 1] = id_bn
+        offsets[span + 1] = (nza_b[:, None] * block + elements) * VAL
+        write_pos = starts[written] + lead + body[written]
+        ids[write_pos] = id_c
+        offsets[write_pos] = (i * n_cols + written) * VAL
+        kinds[write_pos] = KIND_WRITE
+        builder.add_columns(ids, offsets, kinds)
 
     instr.replay_trace(builder.build())
+    window_reads = n_rows + pairs_visited
     counts = {
-        InstructionClass.LOAD: bitmap_loads + 2 * block * total_matches,
+        InstructionClass.LOAD: (0 if hardware else bitmap_words_per_row * window_reads)
+        + 2 * block * total_matches,
         InstructionClass.INDEX: (1 if hardware else 4) * total_steps,
         InstructionClass.BRANCH: total_steps,
         InstructionClass.COMPUTE: 2 * block * total_matches,
@@ -508,7 +591,7 @@ def _spmm_smash_common(
         # Setup (Algorithm 2 lines 2-5) plus one RDBMAP per bitmap-window
         # read and a PBMAP/RDIND pair per merge step.
         counts[InstructionClass.BMU] = (
-            2 + a.config.levels + b_transposed.config.levels + bmu_reads + 2 * total_steps
+            2 + a.config.levels + b_transposed.config.levels + window_reads + 2 * total_steps
         )
     instr.count_batch(counts)
     return c, instr.report()

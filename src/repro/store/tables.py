@@ -2,8 +2,9 @@
 
 ``smash-repro tables`` turns stored reports into the per-figure summary
 tables of the paper: speedup over the TACO-CSR baseline for SpMV
-(figure 10), SpMM (figure 12) and SpAdd (figure 14), plus the SpMV DRAM
-traffic reduction behind figure 11. The emitters read only the index —
+(figure 10), SpMM (figure 12) and SpAdd (the ``spadd`` extra sweep), plus
+the SpMV DRAM traffic reduction behind figure 11. Workload rows are in
+natural order (M1, M2, ..., M10). The emitters read only the index —
 never re-execute jobs — and their output is byte-deterministic for a
 given cache (CI diffs two consecutive emissions), which follows from the
 store's deterministic query ordering and the fixed float formatting here.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -69,7 +71,7 @@ TABLE_SPECS: Tuple[TableSpec, ...] = (
         "spadd_speedup",
         "spadd",
         "cycles",
-        "SpAdd speedup over taco_csr (figure 14; higher is better)",
+        "SpAdd speedup over taco_csr (spadd sweep; higher is better)",
     ),
 )
 
@@ -88,6 +90,12 @@ def _scheme_sort_key(scheme: str) -> Tuple[int, str]:
         return (SCHEME_ORDER.index(scheme), scheme)
     except ValueError:
         return (len(SCHEME_ORDER), scheme)
+
+
+def _natural_key(text: str) -> Tuple[object, ...]:
+    """Sort key ordering embedded numbers numerically (``M2`` before ``M10``)."""
+    parts = re.split(r"(\d+)", text)
+    return tuple(int(part) if index % 2 else part for index, part in enumerate(parts))
 
 
 def _workload_label(key: Optional[str], dim: Optional[int], multi_dim: bool) -> str:
@@ -128,7 +136,9 @@ def build_table(
     columns = ["workload"] + list(schemes)
     out: List[Dict[str, object]] = []
     ratios: Dict[str, List[float]] = {scheme: [] for scheme in schemes}
-    for group in sorted(by_workload, key=lambda g: (str(g[0]), g[1] if g[1] is not None else -1)):
+    for group in sorted(
+        by_workload, key=lambda g: (_natural_key(str(g[0])), g[1] if g[1] is not None else -1)
+    ):
         values = by_workload[group]
         baseline = values.get(BASELINE_SCHEME)
         entry: Dict[str, object] = {

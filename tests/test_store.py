@@ -32,7 +32,7 @@ from repro.store import (
 from repro.store.bench import check_against_baseline, flatten, ingest_file
 from repro.store.gc import gc_cache
 from repro.store.query import render_rows
-from repro.store.tables import build_table, render_tables
+from repro.store.tables import build_table, render_tables, table_spec
 
 SIM = SimConfig.scaled(16)
 
@@ -235,6 +235,15 @@ class TestTables:
             build_table(store, "spmm_speedup")
         with pytest.raises(StoreError, match="unknown table"):
             build_table(store, "bogus")
+
+    def test_workload_rows_sort_naturally(self, tmp_path):
+        _run_sweep(tmp_path, schemes=("taco_csr",), keys=("M10", "M3", "M2"))
+        _, _, rows = build_table(ResultStore(tmp_path), "spmv_speedup")
+        assert [row["workload"] for row in rows] == ["M2", "M3", "M10", "gmean"]
+
+    def test_spadd_table_is_labelled_by_its_sweep(self):
+        description = table_spec("spadd_speedup").description
+        assert "spadd sweep" in description and "figure 14" not in description
 
     def test_missing_baseline_raises(self, tmp_path):
         _run_sweep(tmp_path, schemes=("smash_hw",))

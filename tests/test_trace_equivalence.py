@@ -20,12 +20,16 @@ import pytest
 
 from repro.core.config import SMASHConfig
 from repro.core.smash_matrix import SMASHMatrix
+from repro.eval.experiments import DEFAULT_SPMM_DIM
 from repro.formats.bcsr import BCSRMatrix
+from repro.formats.coo import COOMatrix
 from repro.formats.convert import coo_to_csc, coo_to_csr
 from repro.kernels import legacy, spadd, spmm, spmv
+from repro.kernels.schemes import prepare_operand
 from repro.sim.config import SimConfig
 from repro.sim.instrumentation import InstructionClass
 from repro.sim.trace import CHUNK_ENV_VAR
+from repro.workloads.suite import generate_matrix, get_spec
 from repro.workloads.synthetic import clustered_matrix, uniform_random_matrix
 
 SIM = SimConfig.scaled(16)
@@ -157,7 +161,35 @@ class TestSpMMEquivalence:
             c_new, r_new = batched_fn(a_csr, b_csc, SIM)
             c_old, r_old = reference_fn(a_csr, b_csc, SIM)
             assert_reports_identical(r_new, r_old, batched_fn.__name__)
-            np.testing.assert_allclose(c_new, c_old)
+            # Both sum each pair's products left to right: exact equality.
+            assert np.array_equal(c_new, c_old), batched_fn.__name__
+
+    def test_csr_family_sums_in_sequential_order(self):
+        """Mixed-sign dot products whose value depends on summation order.
+
+        Row 0's sequential sum is 7 where pairwise and reversed summation
+        give 14 and 8; row 1's is 7 where pairwise gives 0, which would also
+        drop its traced C write.
+        """
+        products = np.array(
+            [[1e16] + [1.0] * 7 + [-1e16] + [1.0] * 7, [1.0, 1e16, -1e16, 1.0] * 4]
+        )
+        signs = np.where(np.arange(16) % 2, -1.0, 1.0)
+        a_csr = coo_to_csr(COOMatrix.from_dense(products * signs))
+        b_csc = coo_to_csc(COOMatrix.from_dense(signs[:, None]))
+        sequential = [0.0, 0.0]
+        for i, row in enumerate(products):
+            for value in row:
+                sequential[i] += value
+        assert sequential == [7.0, 7.0]
+        assert [float(np.sum(row)) for row in products] == [14.0, 0.0]
+        assert float(np.sum(products[0][::-1])) != sequential[0]
+        for batched_fn, reference_fn in self.CSR_PAIRS:
+            c_new, r_new = batched_fn(a_csr, b_csc, SIM)
+            c_old, r_old = reference_fn(a_csr, b_csc, SIM)
+            assert_reports_identical(r_new, r_old, batched_fn.__name__)
+            assert c_new[:, 0].tolist() == sequential, batched_fn.__name__
+            assert np.array_equal(c_new, c_old), batched_fn.__name__
 
     def test_bcsr(self, workload):
         a, b = self._operands(workload)
@@ -184,6 +216,21 @@ class TestSpMMEquivalence:
             c_old, r_old = reference_fn(a_sm, bt_sm, SIM)
             assert_reports_identical(r_new, r_old, f"{batched_fn.__name__}/{config_name}")
             np.testing.assert_allclose(c_new, c_old)
+
+
+#: One suite matrix per structural class, at the SpMM experiments' dimension:
+#: banded, clustered, power-law, block and uniform.
+SUITE_SPMM_KEYS = ("M3", "M5", "M11", "M14", "M4")
+
+#: Every SpMM scheme with its batched kernel and the per-element oracle.
+SPMM_SCHEMES = [
+    ("taco_csr", spmm.spmm_csr_instrumented, legacy.spmm_csr_instrumented),
+    ("ideal_csr", spmm.spmm_ideal_csr_instrumented, legacy.spmm_ideal_csr_instrumented),
+    ("mkl_csr", spmm.spmm_mkl_csr_instrumented, legacy.spmm_mkl_csr_instrumented),
+    ("taco_bcsr", spmm.spmm_bcsr_instrumented, legacy.spmm_bcsr_instrumented),
+    ("smash_sw", spmm.spmm_smash_software_instrumented, legacy.spmm_smash_software_instrumented),
+    ("smash_hw", spmm.spmm_smash_hardware_instrumented, legacy.spmm_smash_hardware_instrumented),
+]
 
 
 class TestSpAddEquivalence:
@@ -299,6 +346,24 @@ class TestChunkedEquivalence:
             reports = self._run_modes(monkeypatch, batched_fn, a_sm, bt_sm)
             _, reference = reference_fn(a_sm, bt_sm, SIM)
             self._assert_all_equal(reports, reference, batched_fn.__name__)
+
+    @pytest.mark.parametrize("key", SUITE_SPMM_KEYS)
+    def test_spmm_suite_scale(self, key, monkeypatch):
+        """Every SpMM scheme on a suite matrix at the SpMM experiments' size."""
+        coo = generate_matrix(key, DEFAULT_SPMM_DIM)
+        smash_config = get_spec(key).smash_config()
+        for scheme, batched_fn, reference_fn in SPMM_SCHEMES:
+            a = prepare_operand(coo, scheme, smash_config, orientation="row")
+            b = prepare_operand(coo, scheme, smash_config, orientation="col")
+            c_new, r_new = batched_fn(a, b, SIM)
+            c_old, reference = reference_fn(a, b, SIM)
+            assert_reports_identical(r_new, reference, f"{key}/{scheme}")
+            if scheme.endswith("_csr"):
+                assert np.array_equal(c_new, c_old), f"{key}/{scheme}"
+            else:
+                np.testing.assert_allclose(c_new, c_old)
+            reports = self._run_modes(monkeypatch, batched_fn, a, b)
+            self._assert_all_equal(reports, reference, f"{key}/{scheme}")
 
     def test_spadd(self, workload, monkeypatch):
         if workload.rows != workload.cols:
