@@ -94,6 +94,26 @@ def check_shape(shape: Tuple[int, int]) -> Tuple[int, int]:
     return rows, cols
 
 
+def sorted_unique(values) -> np.ndarray:
+    """The sorted distinct elements of ``values``, flattened.
+
+    Returns exactly what a flagless ``np.unique(values)`` returns, but by
+    one ``np.sort`` plus a neighbour mask: numpy >= 2.3 answers flagless
+    ``np.unique`` from a hash table, which is 40-70x slower on the 1e5-1e7
+    integer keys the generators and format checks deduplicate. NaNs collapse
+    into one trailing NaN, as under ``np.unique``'s ``equal_nan=True``.
+    """
+    aux = np.sort(np.asarray(values), axis=None)
+    if aux.size == 0:
+        return aux
+    mask = np.empty(aux.size, dtype=bool)
+    mask[0] = True
+    np.not_equal(aux[1:], aux[:-1], out=mask[1:])
+    if aux.dtype.kind == "f" and np.isnan(aux[-1]):
+        mask[int(np.searchsorted(aux, aux[-1])) + 1 :] = False
+    return aux[mask]
+
+
 def as_value_array(values, length: int | None = None) -> np.ndarray:
     """Coerce ``values`` to a contiguous float64 array, validating length."""
     arr = np.ascontiguousarray(values, dtype=np.float64)

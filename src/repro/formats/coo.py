@@ -14,6 +14,7 @@ from repro.formats.base import (
     as_index_array,
     as_value_array,
     check_shape,
+    sorted_unique,
 )
 
 
@@ -41,7 +42,7 @@ class COOMatrix(MatrixFormat):
             if self.col.min() < 0 or self.col.max() >= cols:
                 raise FormatError("column index out of bounds")
         keys = self.row * self.shape[1] + self.col
-        if np.unique(keys).size != keys.size:
+        if sorted_unique(keys).size != keys.size:
             raise FormatError("duplicate coordinates in COO matrix")
 
     @classmethod

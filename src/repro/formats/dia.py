@@ -20,6 +20,7 @@ from repro.formats.base import (
     MatrixFormat,
     as_index_array,
     check_shape,
+    sorted_unique,
 )
 
 
@@ -36,7 +37,7 @@ class DIAMatrix(MatrixFormat):
             raise FormatError(
                 f"DIA data must have shape ({self.offsets.size}, {self.shape[1]})"
             )
-        if np.unique(self.offsets).size != self.offsets.size:
+        if sorted_unique(self.offsets).size != self.offsets.size:
             raise FormatError("duplicate diagonal offsets")
         self.data = data
 
@@ -48,7 +49,7 @@ class DIAMatrix(MatrixFormat):
             raise FormatError("from_dense expects a 2-D array")
         rows, cols = dense.shape
         row_idx, col_idx = np.nonzero(dense)
-        offsets = np.unique(col_idx - row_idx) if row_idx.size else np.zeros(0, np.int64)
+        offsets = sorted_unique(col_idx - row_idx)
         data = np.zeros((offsets.size, cols), dtype=np.float64)
         for k, off in enumerate(offsets):
             for i in range(rows):

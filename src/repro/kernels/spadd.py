@@ -22,6 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.smash_matrix import SMASHMatrix
+from repro.formats.base import sorted_unique
 from repro.formats.csr import CSRMatrix
 from repro.kernels._costs import IDX, VAL, register_csr, register_smash
 from repro.kernels.registry import register_kernel
@@ -72,7 +73,7 @@ def _spadd_csr_like(
         if la == 0 and lb == 0:
             continue
         # The merge consumes the whole union, ties advance both sides.
-        union = np.unique(np.concatenate([a_cols, b_cols]))
+        union = sorted_unique(np.concatenate([a_cols, b_cols]))
         ka = np.searchsorted(a_cols, union)
         kb = np.searchsorted(b_cols, union)
         take_a = np.zeros(union.size, dtype=bool)

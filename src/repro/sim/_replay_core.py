@@ -68,6 +68,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.api.registry import Registry
+from repro.formats.base import sorted_unique
 from repro.sim.prefetcher import _StreamState
 from repro.sim.trace import grouped_arange
 
@@ -1126,7 +1127,7 @@ def _classify_level(
             )
             conflict = (
                 _scatter_back(proofs, key_order, is_real, n_virtual, n_real),
-                np.unique(_set_index(key_lines[np.flatnonzero(conflicts)], n_sets)),
+                sorted_unique(_set_index(key_lines[np.flatnonzero(conflicts)], n_sets)),
             )
 
     present = _scatter_back(present_k, key_order, is_real, n_virtual, n_real)

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.smash_matrix import SMASHMatrix
 from repro.formats.coo import COOMatrix
-from repro.formats.base import MatrixFormat
+from repro.formats.base import MatrixFormat, sorted_unique
 
 
 def locality_of_sparsity(
@@ -103,7 +103,7 @@ def matrix_with_locality(
         offsets = rng.choice(block_size, size=count, replace=False)
         linear_positions.append(block_index * block_size + offsets)
         remaining -= count
-    linear = np.unique(np.concatenate(linear_positions))
+    linear = sorted_unique(np.concatenate(linear_positions))
     rows_arr = linear // cols
     cols_arr = linear % cols
     values = rng.uniform(0.1, 1.0, size=linear.size)

@@ -11,6 +11,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.formats.base import sorted_unique
 from repro.formats.coo import COOMatrix
 
 
@@ -23,7 +24,7 @@ def _values(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _coo_from_linear(shape: Tuple[int, int], linear: np.ndarray, rng: np.random.Generator) -> COOMatrix:
-    linear = np.unique(linear)
+    linear = sorted_unique(linear)
     rows = linear // shape[1]
     cols = linear % shape[1]
     return COOMatrix(shape, rows, cols, _values(rng, linear.size))
@@ -76,19 +77,20 @@ def clustered_matrix(
     target = min(target, total)
     patch_elems = cluster_size * cluster_height
     n_patches = max(1, -(-target // patch_elems))
-    linear_parts = []
-    for _ in range(n_patches):
-        top = int(rng.integers(0, max(1, rows - cluster_height + 1)))
-        left = int(rng.integers(0, max(1, cols - cluster_size + 1)))
-        for dr in range(min(cluster_height, rows - top)):
-            start = (top + dr) * cols + left
-            width = min(cluster_size, cols - left)
-            linear_parts.append(np.arange(start, start + width))
-    linear = np.concatenate(linear_parts)
-    linear = np.unique(linear)
+    # One draw for every patch corner. Array bounds consume the generator
+    # element by element, so this is the same stream as alternating scalar
+    # top/left draws (a bound of 1 draws nothing in either form).
+    bounds = [max(1, rows - cluster_height + 1), max(1, cols - cluster_size + 1)]
+    corners = rng.integers(0, np.tile(bounds, n_patches)).reshape(n_patches, 2)
+    # Every corner leaves room for a full patch, so all patches clip to the
+    # same height and width (the matrix's own, when it is the smaller).
+    dr = np.arange(min(cluster_height, rows), dtype=np.int64)
+    dc = np.arange(min(cluster_size, cols), dtype=np.int64)
+    starts = (corners[:, :1] + dr) * cols + corners[:, 1:]
+    linear = sorted_unique(starts[:, :, None] + dc)
     if linear.size > target:
-        # Trim whole trailing patches rather than random elements so the
-        # clustered structure is preserved.
+        # Keep the ``target`` lowest row-major positions: the excess comes
+        # off the bottom rows, which may cut through a patch.
         linear = linear[:target]
     return _coo_from_linear((rows, cols), linear, rng)
 

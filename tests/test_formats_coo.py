@@ -30,6 +30,12 @@ class TestConstruction:
         with pytest.raises(FormatError):
             COOMatrix.from_triplets((2, 2), [(0, 0, 1.0), (0, 0, 2.0)])
 
+    def test_rejects_unsorted_duplicates(self):
+        # The duplicate is neither adjacent nor in row-major order: the
+        # check must sort, not just compare neighbours as given.
+        with pytest.raises(FormatError):
+            COOMatrix((3, 3), [2, 0, 1, 2], [1, 2, 0, 1], [1.0, 2.0, 3.0, 4.0])
+
     def test_empty_triplets(self):
         coo = COOMatrix.from_triplets((4, 5), [])
         assert coo.nnz == 0

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import SMASHConfig
 from repro.core.smash_matrix import SMASHMatrix
+from repro.formats.coo import COOMatrix
 from repro.workloads.locality import locality_of_sparsity, matrix_with_locality
 from repro.workloads.mtx_io import read_matrix_market, round_trip_equal, write_matrix_market
 from repro.workloads.suite import (
     SUITE_SPECS,
+    _stable_seed,
     generate_matrix,
     generate_suite,
     get_spec,
@@ -86,6 +90,73 @@ class TestSyntheticGenerators:
             block_diagonal_matrix(8, block_size=0)
         with pytest.raises(ValueError):
             power_law_matrix(8, 8, 0.1, skew=0.0)
+
+
+def clustered_matrix_loop(rows, cols, density, cluster_size=8, cluster_height=4, seed=None):
+    """The per-patch loop ``clustered_matrix`` used to run: the stream oracle.
+
+    Two scalar draws per patch (top, then left), one ``np.arange`` per patch
+    row. The vectorized generator must consume the same generator stream and
+    return the same bytes; comparing against this loop, not golden digests,
+    keeps the test valid if numpy's Generator stream ever changes.
+    """
+    rng = np.random.default_rng(seed)
+    total = rows * cols
+    target = int(round(density * total))
+    if target == 0:
+        return COOMatrix((rows, cols), [], [], [])
+    target = min(target, total)
+    n_patches = max(1, -(-target // (cluster_size * cluster_height)))
+    parts = []
+    for _ in range(n_patches):
+        top = int(rng.integers(0, max(1, rows - cluster_height + 1)))
+        left = int(rng.integers(0, max(1, cols - cluster_size + 1)))
+        for dr in range(min(cluster_height, rows - top)):
+            start = (top + dr) * cols + left
+            parts.append(np.arange(start, start + min(cluster_size, cols - left)))
+    linear = np.unique(np.concatenate(parts))[:target]
+    values = rng.uniform(0.1, 1.0, size=linear.size)
+    return COOMatrix((rows, cols), linear // cols, linear % cols, values)
+
+
+def assert_same_bytes(got, want):
+    assert got.shape == want.shape
+    for name in ("row", "col", "values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestClusteredStreamOracle:
+    @settings(max_examples=250, deadline=None)
+    @given(
+        rows=st.integers(1, 80),
+        cols=st.integers(1, 80),
+        density=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        cluster_size=st.integers(1, 10),
+        cluster_height=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=1, cols=1, density=1.0, cluster_size=8, cluster_height=4, seed=0)
+    @example(rows=3, cols=50, density=0.3, cluster_size=8, cluster_height=4, seed=1)
+    @example(rows=50, cols=5, density=0.3, cluster_size=8, cluster_height=4, seed=2)
+    @example(rows=2, cols=6, density=0.5, cluster_size=8, cluster_height=4, seed=3)
+    @example(rows=40, cols=40, density=0.0, cluster_size=8, cluster_height=4, seed=4)
+    @example(rows=40, cols=40, density=1.0, cluster_size=8, cluster_height=4, seed=5)
+    def test_matches_per_patch_loop(
+        self, rows, cols, density, cluster_size, cluster_height, seed
+    ):
+        got = clustered_matrix(rows, cols, density, cluster_size, cluster_height, seed)
+        want = clustered_matrix_loop(rows, cols, density, cluster_size, cluster_height, seed)
+        assert_same_bytes(got, want)
+
+    @pytest.mark.parametrize("dim", [512, 1024, 2048])
+    def test_m13_scale_points(self, dim):
+        spec = get_spec("M13")
+        want = clustered_matrix_loop(
+            dim, dim, spec.density, cluster_size=8, seed=_stable_seed(spec.key)
+        )
+        assert_same_bytes(generate_matrix("M13", dim), want)
 
 
 class TestLocality:
