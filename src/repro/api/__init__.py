@@ -26,11 +26,7 @@ from repro.api.config import (
     CACHE_DIR_ENV_VAR,
     CACHE_ENV_VAR,
     DEFAULT_CACHE_DIR,
-    DEFAULT_SERVICE_HOST,
-    DEFAULT_SERVICE_PORT,
     PROCESSES_ENV_VAR,
-    SERVICE_HOST_ENV_VAR,
-    SERVICE_PORT_ENV_VAR,
     TRACE_CHUNK_ENV_VAR,
     RuntimeConfig,
 )
@@ -59,14 +55,10 @@ __all__ = [
     "Workload",
     "suite_nnz",
     "DEFAULT_CACHE_DIR",
-    "DEFAULT_SERVICE_HOST",
-    "DEFAULT_SERVICE_PORT",
     "PROCESSES_ENV_VAR",
     "TRACE_CHUNK_ENV_VAR",
     "CACHE_DIR_ENV_VAR",
     "CACHE_ENV_VAR",
-    "SERVICE_HOST_ENV_VAR",
-    "SERVICE_PORT_ENV_VAR",
 ]
 
 

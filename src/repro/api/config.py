@@ -4,12 +4,11 @@ Every runtime knob that used to live in a scattered ``os.environ`` read —
 the worker-process count (``SMASH_REPRO_PROCESSES``), the trace chunk budget
 (``SMASH_REPRO_TRACE_CHUNK``), the report-cache location/enablement
 (``SMASH_REPRO_CACHE_DIR`` / ``SMASH_REPRO_CACHE``), the replay backend
-(``SMASH_REPRO_REPLAY_BACKEND``), and the sweep-service bind address
-(``SMASH_REPRO_SERVICE_HOST`` / ``SMASH_REPRO_SERVICE_PORT``) — is a field
-of the frozen
-:class:`RuntimeConfig`. :meth:`RuntimeConfig.from_env` is the *only* code in
-the library that reads ``os.environ``; everything else (the sweep runner,
-the trace engine, the CLI) receives an explicit, validated value.
+(``SMASH_REPRO_REPLAY_BACKEND``), and the result-store index
+(``SMASH_REPRO_STORE`` / ``SMASH_REPRO_STORE_INDEX``) — is a field of the
+frozen :class:`RuntimeConfig`. :meth:`RuntimeConfig.from_env` is the *only*
+code in the library that reads ``os.environ``; everything else (the sweep
+runner, the trace engine, the CLI) receives an explicit, validated value.
 
 None of these knobs can change a result: processes and cache only affect
 where/whether a job executes, the chunk budget only bounds peak replay
@@ -70,12 +69,6 @@ POOL_WARMUP_ENV_VAR = "SMASH_REPRO_POOL_WARMUP"
 #: Environment variable enabling per-phase replay profiling.
 REPLAY_PROFILE_ENV_VAR = "SMASH_REPRO_REPLAY_PROFILE"
 
-#: Environment variable setting the sweep-service bind address.
-SERVICE_HOST_ENV_VAR = "SMASH_REPRO_SERVICE_HOST"
-
-#: Environment variable setting the sweep-service port (0 = ephemeral).
-SERVICE_PORT_ENV_VAR = "SMASH_REPRO_SERVICE_PORT"
-
 #: Environment variable disabling incremental result-store indexing
 #: (``0``/``false``/``off``); the sqlite index can always be rebuilt later
 #: with ``smash-repro cache reindex``.
@@ -84,13 +77,6 @@ STORE_ENV_VAR = "SMASH_REPRO_STORE"
 #: Environment variable relocating the result-store index file (default:
 #: ``index.sqlite`` directly under the report-cache root).
 STORE_INDEX_ENV_VAR = "SMASH_REPRO_STORE_INDEX"
-
-#: Default bind address of ``smash-repro serve`` (loopback only; fronting
-#: a daemon to other hosts is an explicit opt-in via --host/env).
-DEFAULT_SERVICE_HOST = "127.0.0.1"
-
-#: Default port of ``smash-repro serve``.
-DEFAULT_SERVICE_PORT = 8377
 
 _UNSET = object()
 _FALSY = ("0", "false", "no", "off")
@@ -123,15 +109,12 @@ class RuntimeConfig:
     split evenly over the workers; 1 = the historical one-job-per-future
     dispatch). ``pool_warmup`` pre-pays the replay backend's one-time setup
     cost (numba JIT compilation for the compiled tier) in every worker at
-    pool start instead of on its first real job.
-    ``service_host``/``service_port`` are where
-    the ``repro.service`` daemon binds (``smash-repro serve``; port 0 asks
-    the OS for an ephemeral port). ``store_ingest`` enables the incremental
-    result-store index (``repro.store``) on cached sweeps; ``store_index``
-    relocates the sqlite index file (``None`` = ``index.sqlite`` under the
-    cache root). Like every other knob here they say *how* work is
-    executed, stored and served, never what it computes — which is why none
-    participate in the report-cache job key.
+    pool start instead of on its first real job. ``store_ingest`` enables
+    the incremental result-store index (``repro.store``) on cached sweeps;
+    ``store_index`` relocates the sqlite index file (``None`` =
+    ``index.sqlite`` under the cache root). Like every other knob here they
+    say *how* work is executed and stored, never what it computes — which
+    is why none participate in the report-cache job key.
     """
 
     processes: int = 1
@@ -142,8 +125,6 @@ class RuntimeConfig:
     replay_profile: bool = False
     pool_chunk: int = 0
     pool_warmup: bool = True
-    service_host: str = DEFAULT_SERVICE_HOST
-    service_port: int = DEFAULT_SERVICE_PORT
     store_ingest: bool = True
     store_index: Optional[Union[str, pathlib.Path]] = None
 
@@ -199,19 +180,6 @@ class RuntimeConfig:
             raise ValueError(
                 f"pool warm-up flag must be a bool, got {self.pool_warmup!r}"
             )
-        if not isinstance(self.service_host, str) or not self.service_host:
-            raise ValueError(
-                f"service host must be a non-empty string, got {self.service_host!r}"
-            )
-        if isinstance(self.service_port, bool) or not isinstance(self.service_port, int):
-            raise ValueError(
-                f"service port must be an integer, got {self.service_port!r}"
-            )
-        if not 0 <= self.service_port <= 65535:
-            raise ValueError(
-                f"service port must be in [0, 65535] (0 = ephemeral), "
-                f"got {self.service_port}"
-            )
         if not isinstance(self.store_ingest, bool):
             raise ValueError(
                 f"store ingest flag must be a bool, got {self.store_ingest!r}"
@@ -237,8 +205,6 @@ class RuntimeConfig:
         replay_profile: Optional[bool] = None,
         pool_chunk: Optional[int] = None,
         pool_warmup: Optional[bool] = None,
-        service_host: Optional[str] = None,
-        service_port: Optional[int] = None,
         store_ingest: Optional[bool] = None,
         store_index: object = _UNSET,
     ) -> "RuntimeConfig":
@@ -278,15 +244,6 @@ class RuntimeConfig:
         if pool_warmup is None:
             raw = os.environ.get(POOL_WARMUP_ENV_VAR, "").strip().lower()
             pool_warmup = raw not in _FALSY if raw else True
-        if service_host is None:
-            service_host = (
-                os.environ.get(SERVICE_HOST_ENV_VAR, "").strip() or DEFAULT_SERVICE_HOST
-            )
-        if service_port is None:
-            raw = os.environ.get(SERVICE_PORT_ENV_VAR, "").strip()
-            service_port = (
-                _parse_int(raw, SERVICE_PORT_ENV_VAR) if raw else DEFAULT_SERVICE_PORT
-            )
         if store_ingest is None:
             raw = os.environ.get(STORE_ENV_VAR, "").strip().lower()
             store_ingest = raw not in _FALSY if raw else True
@@ -304,8 +261,6 @@ class RuntimeConfig:
                 replay_profile=replay_profile,
                 pool_chunk=pool_chunk,
                 pool_warmup=pool_warmup,
-                service_host=service_host,
-                service_port=service_port,
                 store_ingest=store_ingest,
                 store_index=cast(Optional[Union[str, pathlib.Path]], store_index),
             )

@@ -12,8 +12,8 @@ on-disk report cache and its job statistics. Work is described
 declaratively as :class:`~repro.api.specs.JobSpec` /
 :class:`~repro.api.specs.SweepSpec` and submitted through :meth:`run` /
 :meth:`sweep` (blocking) or :meth:`submit` (a future per spec, safe from
-any thread — the seam the ``repro.service`` daemon is built on); ad-hoc
-in-memory matrices (not content-addressable, hence uncacheable) run
+any thread; collect them with :func:`concurrent.futures.as_completed`);
+ad-hoc in-memory matrices (not content-addressable, hence uncacheable) run
 through :meth:`run_kernel`.
 
 Typical use::
@@ -38,8 +38,7 @@ from __future__ import annotations
 import atexit
 import threading
 from concurrent.futures import Future
-from concurrent.futures import as_completed as _as_completed
-from typing import Iterable, Iterator, Optional, Union, cast
+from typing import Iterable, Optional, Union, cast
 
 from repro.api.config import RuntimeConfig
 from repro.api.registry import UnknownNameError, suggestion
@@ -119,9 +118,9 @@ class Session:
             )
         # Keep the result-store index warm: every report the cache persists
         # is ingested into the sqlite index as it lands (repro.store;
-        # DESIGN.md section 16). Derived data only — queries and the
-        # service's GET /query read it, results never do — and wrapped
-        # runners keep whatever indexer they already carry.
+        # DESIGN.md section 16). Derived data only — queries read it,
+        # results never do — and wrapped runners keep whatever indexer
+        # they already carry.
         if (
             self.runtime.store_ingest
             and self._runner.cache is not None
@@ -159,17 +158,6 @@ class Session:
                 raise RuntimeError("cannot submit to a closed Session")
         sim = sim if sim is not None else self.sim
         return self._runner.submit(spec.to_job(sim=sim, smash=self.smash))
-
-    @staticmethod
-    def as_completed(
-        futures: Iterable["Future[CostReport]"], timeout: Optional[float] = None
-    ) -> Iterator["Future[CostReport]"]:
-        """Yield :meth:`submit` futures as they finish (completion order).
-
-        A re-export of :func:`concurrent.futures.as_completed`, so service
-        code needs only the Session surface.
-        """
-        return _as_completed(futures, timeout=timeout)
 
     def sweep(
         self,

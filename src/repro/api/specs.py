@@ -21,20 +21,12 @@ Workload descriptions stay the *same tuples* the sweep engine has always
 cached under (``("suite", key, dim, seed)`` …), so a spec-built job hashes
 to the identical content key as a hand-built
 :func:`repro.eval.runner.kernel_job` — existing report caches remain valid.
-
-Specs also round-trip through plain JSON documents
-(:meth:`JobSpec.to_payload` / :meth:`JobSpec.from_payload`,
-:meth:`SweepSpec.to_payload` / :meth:`SweepSpec.from_payload`) — the wire
-schema of the ``repro.service`` daemon. The round trip is exact: floats
-survive JSON bit-for-bit and the nested ``SimConfig``/``SMASHConfig``
-reconstruct field-by-field, so a spec decoded from JSON lowers to the
-identical cache key as the original (DESIGN.md section 15).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union, cast
 
 from repro.api.registry import UnknownNameError, suggestion
@@ -49,13 +41,7 @@ from repro.eval.runner import (
     locality_source,
     suite_source,
 )
-from repro.sim.config import (
-    CacheConfig,
-    CPUConfig,
-    DRAMConfig,
-    InstructionCosts,
-    SimConfig,
-)
+from repro.sim.config import SimConfig
 from repro.sim.instrumentation import CostReport
 
 #: Sentinel: SweepSpec.product derives each suite matrix's SMASH config from
@@ -139,34 +125,6 @@ def _freeze_params(params) -> Tuple[Tuple[str, Union[int, float, str]], ...]:
     return tuple(params)
 
 
-# --------------------------------------------------------------------------- #
-# JSON wire schema (the repro.service request body)
-# --------------------------------------------------------------------------- #
-def sim_to_payload(sim: SimConfig) -> Dict:
-    """The JSON-ready form of a SimConfig (exactly the job-key encoding)."""
-    return asdict(sim)
-
-
-def sim_from_payload(payload: Mapping) -> SimConfig:
-    """Rebuild a SimConfig from :func:`sim_to_payload` output.
-
-    Field-by-field reconstruction through the dataclass constructors, so
-    the nested configs re-validate and ``asdict`` of the result equals the
-    input — decoded specs hash to the same job key as the originals.
-    """
-    try:
-        return SimConfig(
-            cpu=CPUConfig(**payload["cpu"]),
-            l1=CacheConfig(**payload["l1"]),
-            l2=CacheConfig(**payload["l2"]),
-            l3=CacheConfig(**payload["l3"]),
-            dram=DRAMConfig(**payload["dram"]),
-            costs=InstructionCosts(**payload["costs"]),
-        )
-    except (KeyError, TypeError) as error:
-        raise ValueError(f"malformed sim configuration: {error!r}") from None
-
-
 @dataclass(frozen=True)
 class JobSpec:
     """Declarative description of one kernel or application run.
@@ -227,54 +185,6 @@ class JobSpec:
             self.kernel, self.scheme, self.workload, sim,
             smash_config=smash, **dict(self.params),
         )
-
-    # ------------------------------------------------------------------ #
-    # JSON wire format
-    # ------------------------------------------------------------------ #
-    def to_payload(self) -> Dict:
-        """A JSON-ready dict describing this spec (the service wire form)."""
-        return {
-            "kernel": self.kernel,
-            "scheme": self.scheme,
-            "workload": list(self.workload),
-            "params": dict(self.params),
-            "smash": list(self.smash.ratios) if self.smash is not None else None,
-            "sim": sim_to_payload(self.sim) if self.sim is not None else None,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "JobSpec":
-        """Rebuild a spec from :meth:`to_payload` output (re-validated).
-
-        Raises ``ValueError`` — including the did-you-mean
-        :class:`~repro.api.registry.UnknownNameError` from spec validation
-        — on malformed documents, so the service layer can turn any bad
-        request body into a clean 400.
-        """
-        if not isinstance(payload, Mapping):
-            raise ValueError(f"job spec must be a JSON object, got {type(payload).__name__}")
-        unknown = sorted(
-            set(payload) - {"kernel", "scheme", "workload", "params", "smash", "sim"}
-        )
-        if unknown:
-            raise ValueError(f"unknown job spec fields: {unknown}")
-        try:
-            kernel = payload["kernel"]
-            scheme = payload["scheme"]
-            workload = payload["workload"]
-        except KeyError as error:
-            raise ValueError(f"job spec is missing required field {error.args[0]!r}") from None
-        if not isinstance(workload, (list, tuple)):
-            raise ValueError(f"workload must be a list, got {type(workload).__name__}")
-        params = payload.get("params") or {}
-        if not isinstance(params, Mapping):
-            raise ValueError(f"params must be an object, got {type(params).__name__}")
-        smash_ratios = payload.get("smash")
-        smash = SMASHConfig(tuple(smash_ratios)) if smash_ratios is not None else None
-        sim_payload = payload.get("sim")
-        sim = sim_from_payload(sim_payload) if sim_payload is not None else None
-        return cls(kernel, scheme, tuple(workload), smash=smash, sim=sim, params=params)
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -340,30 +250,6 @@ class SweepSpec:
                 for scheme in schemes
             )
         )
-
-    def to_payload(self) -> Dict:
-        """A JSON-ready dict describing this sweep (the service wire form)."""
-        return {"specs": [spec.to_payload() for spec in self.specs]}
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "SweepSpec":
-        """Rebuild a sweep from :meth:`to_payload` output (re-validated).
-
-        Raises ``ValueError`` on malformed documents; an error names the
-        offending spec's position so service clients can find it.
-        """
-        if not isinstance(payload, Mapping):
-            raise ValueError(f"sweep must be a JSON object, got {type(payload).__name__}")
-        specs = payload.get("specs")
-        if not isinstance(specs, (list, tuple)):
-            raise ValueError('sweep payload must carry a "specs" list')
-        decoded = []
-        for index, spec in enumerate(specs):
-            try:
-                decoded.append(JobSpec.from_payload(spec))
-            except ValueError as error:
-                raise ValueError(f"specs[{index}]: {error}") from None
-        return cls(tuple(decoded))
 
     @property
     def workload_keys(self) -> Tuple[str, ...]:

@@ -20,23 +20,18 @@ Run every experiment at reduced size (a quick smoke test)::
 
     smash-repro all --quick
 
-Serve sweeps over HTTP from one shared session/cache/pool::
-
-    smash-repro serve --port 0 --port-file port.txt --processes 4
-
 The CLI is a thin shell over :class:`repro.api.Session`: flags and the
 documented environment knobs (``SMASH_REPRO_PROCESSES``,
 ``SMASH_REPRO_TRACE_CHUNK``, ``SMASH_REPRO_CACHE_DIR``,
 ``SMASH_REPRO_CACHE``, ``SMASH_REPRO_REPLAY_BACKEND``,
 ``SMASH_REPRO_REPLAY_BATCH``, ``SMASH_REPRO_REPLAY_PROFILE``,
 ``SMASH_REPRO_POOL_CHUNK``, ``SMASH_REPRO_POOL_WARMUP``,
-``SMASH_REPRO_SERVICE_HOST``, ``SMASH_REPRO_SERVICE_PORT``) are folded
-into one validated
-:class:`~repro.api.config.RuntimeConfig` — explicit flags win — and every
-experiment driver receives the resulting Session. Kernel results are
-memoized in a content-keyed on-disk cache (``.smash-cache/`` by default),
-so repeated invocations only execute jobs whose configuration changed; pass
-``--no-cache`` to disable it.
+``SMASH_REPRO_STORE``, ``SMASH_REPRO_STORE_INDEX``) are folded into one
+validated :class:`~repro.api.config.RuntimeConfig` — explicit flags win —
+and every experiment driver receives the resulting Session. Kernel results
+are memoized in a content-keyed on-disk cache (``.smash-cache/`` by
+default), so repeated invocations only execute jobs whose configuration
+changed; pass ``--no-cache`` to disable it.
 """
 
 from __future__ import annotations
@@ -48,14 +43,7 @@ import pathlib
 import sys
 from typing import List, Optional, Tuple
 
-from repro.api.config import (
-    DEFAULT_CACHE_DIR,
-    DEFAULT_SERVICE_PORT,
-    PROCESSES_ENV_VAR,
-    SERVICE_HOST_ENV_VAR,
-    SERVICE_PORT_ENV_VAR,
-    RuntimeConfig,
-)
+from repro.api.config import DEFAULT_CACHE_DIR, PROCESSES_ENV_VAR, RuntimeConfig
 from repro.api.session import Session
 from repro.eval.figures import Experiment, get_experiment, list_experiments
 from repro.eval.reporting import render_result
@@ -180,47 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     all_parser.add_argument("--json", action="store_true", help="print raw results as JSON")
     _add_runner_arguments(all_parser)
 
-    serve_parser = subparsers.add_parser(
-        "serve",
-        help="run the sweep daemon (POST /sweeps over HTTP)",
-        description=(
-            "Serve sweeps over HTTP from one shared Session: every client "
-            "shares the daemon's worker pool, report cache and single-flight "
-            "scheduler, and reports are byte-identical to an in-process "
-            "Session.sweep (DESIGN.md section 15)."
-        ),
-    )
-    serve_parser.add_argument(
-        "--host",
-        type=str,
-        default=None,
-        metavar="ADDR",
-        help=f"bind address (default: ${SERVICE_HOST_ENV_VAR} or 127.0.0.1)",
-    )
-    serve_parser.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help=(
-            f"bind port, 0 = OS-assigned ephemeral (default: "
-            f"${SERVICE_PORT_ENV_VAR} or {DEFAULT_SERVICE_PORT})"
-        ),
-    )
-    serve_parser.add_argument(
-        "--port-file",
-        type=pathlib.Path,
-        default=None,
-        metavar="FILE",
-        help="write the bound port to FILE once listening (for --port 0 scripting)",
-    )
-    serve_parser.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress per-request access logging",
-    )
-    _add_runner_arguments(serve_parser)
-
     lint_parser = subparsers.add_parser(
         "lint",
         help="check the repo's machine-checked invariants (repro.lint)",
@@ -288,10 +235,6 @@ def _build_session(args: argparse.Namespace) -> Session:
         "replay_profile": args.replay_profile,
         "pool_chunk": args.pool_chunk,
         "pool_warmup": False if args.no_pool_warmup else None,
-        # Only the serve subcommand defines the bind flags; the service
-        # knobs are harmless defaults everywhere else.
-        "service_host": getattr(args, "host", None),
-        "service_port": getattr(args, "port", None),
     }
     if args.no_cache:
         kwargs["cache_dir"] = None
@@ -343,35 +286,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "list":
         for experiment in list_experiments():
             print(f"{experiment.identifier:10s} [{experiment.kind}] {experiment.description}")
-        return 0
-
-    if args.command == "serve":
-        # Deferred so list/run/lint invocations never import the daemon.
-        from repro.service.server import serve
-
-        try:
-            session = _build_session(args)
-        except ValueError as error:
-            print(f"smash-repro: {error}", file=sys.stderr)
-            return 2
-
-        def _ready(server) -> None:
-            host, port = server.server_address[0], server.bound_port
-            print(
-                f"smash-repro serve: listening on http://{host}:{port} "
-                f"({session.runtime.describe()})",
-                file=sys.stderr,
-            )
-            if args.port_file is not None:
-                args.port_file.write_text(f"{port}\n", encoding="utf-8")
-
-        serve(
-            session,
-            session.runtime.service_host,
-            session.runtime.service_port,
-            quiet=args.quiet,
-            ready=_ready,
-        )
         return 0
 
     if args.command in _STORE_COMMANDS:

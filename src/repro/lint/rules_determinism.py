@@ -3,11 +3,10 @@
 The fig16/17 PYTHONHASHSEED incident (fixed in PR 2) was exactly this bug
 class: seeds derived through Python's randomized ``hash()`` made figure
 outputs differ between interpreter invocations.  In the result-producing
-packages (``eval``, ``sim``, ``api``, ``service``) any process-dependent
-value source —
-``hash()`` on anything but an int, the global ``random`` module, wall-clock
-time, ``datetime.now`` — silently breaks the content-keyed report cache and
-the byte-identical CI diffs.
+packages (``eval``, ``sim``, ``api``, ``store``) any process-dependent
+value source — ``hash()`` on anything but an int, the global ``random``
+module, wall-clock time, ``datetime.now`` — silently breaks the
+content-keyed report cache and the byte-identical CI diffs.
 
 Deliberate wall-clock use (the replay profiler's ``time.perf_counter``)
 never enters a report and is not matched; anything else that is genuinely
@@ -22,7 +21,7 @@ from typing import Iterable, Optional, Tuple
 from repro.lint.core import Rule, SourceFile, Violation, _module_in
 
 #: Packages whose outputs feed reports, cache keys, or figures.
-SCOPED_PACKAGES = ("repro.eval", "repro.sim", "repro.api", "repro.service", "repro.store")
+SCOPED_PACKAGES = ("repro.eval", "repro.sim", "repro.api", "repro.store")
 
 #: Call patterns that depend on process state, as (base name, attribute)
 #: pairs; an attribute of ``None`` matches any attribute of the base.

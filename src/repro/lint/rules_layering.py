@@ -19,9 +19,8 @@ rank  group
  9    ``repro.api.specs``
 10    ``repro.api.session``
 11    ``repro.api``  (the facade ``__init__``)
-12    ``repro.service``  (the sweep daemon, strictly above the facade)
-13    ``repro.eval``  (experiments, figures, CLI, reporting)
-14    ``repro``  (the top-level package)
+12    ``repro.eval``  (experiments, figures, CLI, reporting)
+13    ``repro``  (the top-level package)
 ====  =====================================================================
 
 Only *import-time* imports are constrained — statements executed when the
@@ -58,9 +57,8 @@ LAYER_RANKS: Tuple[Tuple[str, int], ...] = (
     ("repro.store", 9),
     ("repro.api.session", 10),
     ("repro.api", 11),
-    ("repro.service", 12),
-    ("repro.eval", 13),
-    ("repro", 14),
+    ("repro.eval", 12),
+    ("repro", 13),
 )
 
 

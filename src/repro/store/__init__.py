@@ -15,9 +15,9 @@ tooling on top (DESIGN.md section 16):
   subcommands (mounted by :mod:`repro.eval.cli`).
 
 Layering (RL006): strictly above ``repro.eval.runner`` and the config
-layer, strictly below ``repro.api.session`` / ``repro.service`` — the
-index can read everything the cache writes, and nothing result-producing
-can ever depend on the index.
+layer, strictly below ``repro.api.session`` — the index can read
+everything the cache writes, and nothing result-producing can ever depend
+on the index.
 """
 
 from repro.store.index import (

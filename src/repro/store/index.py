@@ -210,10 +210,10 @@ _QUERY_PARAMS = frozenset(
 
 
 def query_from_mapping(raw: Dict[str, str]) -> Query:
-    """Build a :class:`Query` from string parameters (CLI flags, URL query).
+    """Build a :class:`Query` from string parameters (the query CLI flags).
 
     Raises :class:`StoreError` on unknown parameter names or malformed
-    integer values, so HTTP handlers can map any bad request to a 400.
+    integer values, which the CLI reports as a clean usage error.
     """
     unknown = sorted(set(raw) - _QUERY_PARAMS)
     if unknown:
@@ -265,8 +265,8 @@ class ResultStore:
     Thread-safe: one internal lock serializes writers within the process,
     and every operation opens its own short-lived connection (with a busy
     timeout), so concurrent processes sharing the cache — pool parents,
-    several CLI invocations, the service daemon — coordinate through
-    sqlite's own file locking.
+    several CLI invocations — coordinate through sqlite's own file
+    locking.
     """
 
     def __init__(

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.store.index import METRIC_COLUMNS, StoreError
 
-#: Output formats accepted by the CLI/HTTP surfaces.
+#: Output formats accepted by ``smash-repro query``.
 FORMATS = ("table", "csv", "json")
 
 #: Scalar columns shown in table/csv mode for plain (non-aggregated) rows;

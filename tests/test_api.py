@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,32 @@ class TestRuntimeConfig:
         violations = lint_source(source, select_rules("RL001"))
         assert [v.rule for v in violations] == ["RL001"]
         assert violations[0].line == 2
+
+    def test_documented_env_vars_match_config(self):
+        """README's variable table and the CLI docstring list every knob.
+
+        The declared set is every ``*_ENV_VAR`` string constant in
+        ``repro.api.config``, the module whose ``from_env`` reads them all.
+        """
+        from repro.api import config
+        from repro.eval import cli
+
+        declared = {
+            value
+            for name, value in vars(config).items()
+            if name.endswith("_ENV_VAR") and isinstance(value, str)
+        }
+        readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+        lines = readme.read_text(encoding="utf-8").splitlines()
+        start = lines.index("| Environment variable | Meaning | Default |")
+        table = []
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            table.append(line.split("|")[1].strip().strip("`"))
+        assert len(table) == len(set(table))
+        assert set(table) == declared
+        assert set(re.findall(r"SMASH_REPRO_[A-Z_]+", cli.__doc__)) == declared
 
 
 class TestRegistry:

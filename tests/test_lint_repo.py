@@ -27,6 +27,23 @@ def test_repo_is_lint_clean():
     assert result.files_checked > 50
 
 
+def _names_existing_module(name):
+    """Whether dotted ``name`` is a module or package under src/repro."""
+    head, *rest = name.split(".")
+    assert head == "repro", name
+    path = PACKAGE_ROOT.joinpath(*rest)
+    return (path / "__init__.py").is_file() or path.with_suffix(".py").is_file()
+
+
+def test_rule_scopes_name_existing_modules():
+    """RL006 ranks and RL002 scopes never outlive the code they govern."""
+    from repro.lint.rules_determinism import SCOPED_PACKAGES
+    from repro.lint.rules_layering import LAYER_RANKS
+
+    prefixes = [prefix for prefix, _ in LAYER_RANKS] + list(SCOPED_PACKAGES)
+    assert [p for p in prefixes if not _names_existing_module(p)] == []
+
+
 def test_every_rule_documents_its_contract():
     for rule in all_rules():
         assert rule.id and rule.title and rule.rationale, rule

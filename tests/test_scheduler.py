@@ -13,6 +13,7 @@ exactly when an execution completes; the stress test hammers one Session
 from several threads and checks the counters afterwards.
 """
 
+import dataclasses
 import json
 import os
 import threading
@@ -21,10 +22,10 @@ import pytest
 
 from repro.api.config import RuntimeConfig
 from repro.api.session import Session, default_session
-from repro.api.specs import SweepSpec
+from repro.api.specs import JobSpec, SweepSpec, Workload
 from repro.eval import runner as runner_module
 from repro.eval.runner import SweepRunner, job_key, kernel_job, suite_source
-from repro.sim.config import SimConfig
+from repro.sim.config import DRAMConfig, SimConfig
 
 SIM = SimConfig.scaled(16)
 
@@ -93,6 +94,19 @@ class TestSubmit:
             # The failure was not cached; a retry re-executes and succeeds.
             assert runner.submit(_job()).result().kernel == "spmv"
         assert len(calls) == 2
+
+    def test_call_level_sim_matches_a_session_built_with_it(self):
+        """``sweep(sim=)``/``submit(sim=)`` override the Session default."""
+        sim = dataclasses.replace(SIM, dram=DRAMConfig(latency_cycles=400))
+        spec = SweepSpec((JobSpec("spmv", "taco_csr", Workload.suite("M8", 48)),))
+        runtime = RuntimeConfig(processes=1, cache_dir=None)
+        with Session(sim=sim, runtime=runtime) as reference:
+            expected = _report_keys(reference.sweep(spec).reports)
+        with Session(sim=SIM, runtime=runtime) as session:
+            assert _report_keys(session.sweep(spec, sim=sim).reports) == expected
+            assert _report_keys([session.submit(spec.specs[0], sim=sim).result()]) == expected
+            # Not vacuous: the Session's own machine models a different cost.
+            assert _report_keys(session.sweep(spec).reports) != expected
 
 
 class TestSingleFlight:
@@ -274,14 +288,6 @@ class TestSessionLifecycle:
         session.close()
         with pytest.raises(RuntimeError, match="closed Session"):
             session.submit(next(iter(_sweep_spec())))
-
-    def test_as_completed_yields_every_future(self, tmp_path):
-        spec = _sweep_spec()
-        with Session(runtime=RuntimeConfig(processes=1, cache_dir=tmp_path)) as session:
-            futures = [session.submit(job_spec) for job_spec in spec]
-            done = list(Session.as_completed(futures, timeout=60))
-            assert sorted(map(id, done)) == sorted(map(id, futures))
-            assert all(future.done() for future in done)
 
     def test_default_session_is_singleton_with_atexit_hook(self, monkeypatch):
         from repro.api import session as session_module
