@@ -329,19 +329,15 @@ def run_facade_overhead(cache_scale: int, dim: int = 512) -> dict:
 
 
 def run_replay_core(dims: tuple, density: float, seed: int, cache_scale: int) -> dict:
-    """Replay-core seconds per backend (reference/vectorized/compiled), per dim.
+    """Replay-core seconds per backend (reference/vectorized), per dim.
 
     Captures the access-trace segments every SpMV scheme emits (by shimming
     ``MemoryHierarchy.replay`` during one instrumented run per scheme), then
     replays the captured segments through fresh hierarchies with each
     backend, best of three timings.  This isolates exactly the component the
     replay backends implement; all backends are bit-identical, so only the
-    wall clock differs.  The compiled (numba) tier is timed twice: a *cold*
-    first call that pays JIT compilation, then warm best-of-three.  When
-    numba is absent the compiled timings are recorded as null — never
-    fabricated from the fallback path.
+    wall clock differs.
     """
-    from repro.sim._replay_compiled import NUMBA_AVAILABLE
     from repro.sim.memory import MemoryHierarchy
 
     results = {}
@@ -382,10 +378,6 @@ def run_replay_core(dims: tuple, density: float, seed: int, cache_scale: int) ->
         for backend in ("reference", "vectorized"):
             replay_sweep(backend)  # warm caches/allocator
             timings[backend] = min(replay_sweep(backend) for _ in range(3))
-        compiled_cold = compiled_warm = None
-        if NUMBA_AVAILABLE:
-            compiled_cold = replay_sweep("compiled")  # first call pays JIT
-            compiled_warm = min(replay_sweep("compiled") for _ in range(3))
         accesses = sum(
             seg[1].size for segs in segments_per_scheme.values() for seg in segs
         )
@@ -395,30 +387,11 @@ def run_replay_core(dims: tuple, density: float, seed: int, cache_scale: int) ->
             "reference_seconds": round(timings["reference"], 4),
             "vectorized_seconds": round(timings["vectorized"], 4),
             "speedup": round(speedup, 2),
-            "numba_available": NUMBA_AVAILABLE,
-            "compiled_cold_seconds": (
-                round(compiled_cold, 4) if compiled_cold is not None else None
-            ),
-            "compiled_seconds": (
-                round(compiled_warm, 4) if compiled_warm is not None else None
-            ),
-            "speedup_compiled": (
-                round(timings["reference"] / compiled_warm, 2)
-                if compiled_warm
-                else None
-            ),
         }
         results[f"dim{dim}"] = record
-        compiled_note = (
-            f"  compiled {compiled_warm:.3f}s (cold {compiled_cold:.3f}s, "
-            f"{record['speedup_compiled']:.2f}x)"
-            if compiled_warm is not None
-            else "  compiled n/a (no numba)"
-        )
         print(
             f"  replay_core[{dim}] reference {timings['reference']:.3f}s  "
-            f"vectorized {timings['vectorized']:.3f}s  ({speedup:.2f}x)"
-            + compiled_note,
+            f"vectorized {timings['vectorized']:.3f}s  ({speedup:.2f}x)",
             flush=True,
         )
     return results
@@ -431,21 +404,16 @@ def run_replay_phases(cache_scale: int, dim: int = 512) -> dict:
     and records the phase breakdown the profiling hooks collected.  The
     reference loop is fused — it reports a single ``walk`` phase — while the
     array engines break out prefetcher, LRU-classification and
-    stall-accumulation time.  The compiled backend appears only when numba
-    is importable (the fallback's numbers would just duplicate
-    ``vectorized``).
+    stall-accumulation time.
     """
-    from repro.sim._replay_compiled import NUMBA_AVAILABLE
-
     sim = SimConfig.default() if cache_scale <= 1 else SimConfig.scaled(cache_scale)
     jobs = [
         kernel_job("spmv", scheme, suite_source(key, dim), sim)
         for key in ("M2", "M8", "M13")
         for scheme in SCHEMES
     ]
-    backends = ["reference", "vectorized"] + (["compiled"] if NUMBA_AVAILABLE else [])
     phases = {}
-    for backend in backends:
+    for backend in ("reference", "vectorized"):
         with SweepRunner(
             processes=1, replay_backend=backend, replay_profile=True
         ) as runner:
@@ -457,7 +425,6 @@ def run_replay_phases(cache_scale: int, dim: int = 512) -> dict:
     return {
         "jobs": len(jobs),
         "dim": dim,
-        "numba_available": NUMBA_AVAILABLE,
         "backends": phases,
     }
 

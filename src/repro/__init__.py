@@ -60,7 +60,7 @@ __version__ = "1.1.0"
 #: Facade classes loaded lazily (they pull in the evaluation stack).
 _LAZY = {
     name: "repro.api"
-    for name in ("Session", "JobSpec", "SweepSpec", "SweepResult", "Workload", "default_session")
+    for name in ("Session", "JobSpec", "SweepSpec", "SweepResult", "Workload")
 }
 
 __all__ = [

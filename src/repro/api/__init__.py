@@ -34,7 +34,6 @@ from repro.api.registry import Registry, UnknownNameError, suggestion
 
 _LAZY = {
     "Session": "repro.api.session",
-    "default_session": "repro.api.session",
     "JobSpec": "repro.api.specs",
     "SweepSpec": "repro.api.specs",
     "SweepResult": "repro.api.specs",
@@ -48,7 +47,6 @@ __all__ = [
     "UnknownNameError",
     "suggestion",
     "Session",
-    "default_session",
     "JobSpec",
     "SweepSpec",
     "SweepResult",

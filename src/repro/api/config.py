@@ -62,8 +62,8 @@ REPLAY_BATCH_ENV_VAR = "SMASH_REPRO_REPLAY_BATCH"
 POOL_CHUNK_ENV_VAR = "SMASH_REPRO_POOL_CHUNK"
 
 #: Environment variable disabling worker warm-up (``0``/``false``/``off``);
-#: warm workers pre-pay the replay backend's one-time cost (numba JIT for
-#: the compiled tier) at pool start instead of on their first real job.
+#: warm workers pre-pay the replay backend's one-time cost (first-call numpy
+#: machinery) at pool start instead of on their first real job.
 POOL_WARMUP_ENV_VAR = "SMASH_REPRO_POOL_WARMUP"
 
 #: Environment variable enabling per-phase replay profiling.
@@ -108,8 +108,8 @@ class RuntimeConfig:
     so one IPC round-trip carries a whole batch (0 = auto: each batch is
     split evenly over the workers; 1 = the historical one-job-per-future
     dispatch). ``pool_warmup`` pre-pays the replay backend's one-time setup
-    cost (numba JIT compilation for the compiled tier) in every worker at
-    pool start instead of on its first real job. ``store_ingest`` enables
+    cost (first-call numpy machinery) in every worker at pool start instead
+    of on its first real job. ``store_ingest`` enables
     the incremental result-store index (``repro.store``) on cached sweeps;
     ``store_index`` relocates the sqlite index file (``None`` =
     ``index.sqlite`` under the cache root). Like every other knob here they

@@ -35,7 +35,6 @@ cache (DESIGN.md sections 9-11).
 
 from __future__ import annotations
 
-import atexit
 import threading
 from concurrent.futures import Future
 from typing import Iterable, Optional, Union, cast
@@ -250,33 +249,3 @@ class Session:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Session({self.runtime.describe()})"
-
-
-_default_session: Optional[Session] = None
-_default_session_lock = threading.Lock()
-
-
-def default_session() -> Session:
-    """The process-wide Session backing the deprecated module-level runners.
-
-    Created on first use with environment-derived runtime configuration and
-    the default simulated machine. Creation is guarded by a lock (two
-    threads racing through the deprecation shims get one Session, not a
-    leaked pool each) and registers an ``atexit`` hook, so the shim pool is
-    drained and shut down at interpreter exit instead of leaking.
-    """
-    global _default_session
-    with _default_session_lock:
-        if _default_session is None:
-            _default_session = Session()
-            atexit.register(_close_default_session)
-        return _default_session
-
-
-def _close_default_session() -> None:
-    """Close and forget the shim Session (atexit hook; safe to call twice)."""
-    global _default_session
-    with _default_session_lock:
-        session, _default_session = _default_session, None
-    if session is not None:
-        session.close()

@@ -85,10 +85,9 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="NAME",
         help=(
-            "replay engine for the memory hierarchy: 'vectorized' (default), "
-            "'reference', or 'compiled' (numba JIT; falls back to "
-            "'vectorized' with a warning when numba is missing; also via "
-            "$SMASH_REPRO_REPLAY_BACKEND); results are bit-identical either way"
+            "replay engine for the memory hierarchy: 'vectorized' (default) "
+            "or 'reference' (also via $SMASH_REPRO_REPLAY_BACKEND); results "
+            "are bit-identical either way"
         ),
     )
     parser.add_argument(
@@ -127,7 +126,7 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
         "--no-pool-warmup",
         action="store_true",
         help=(
-            "skip pre-JIT warm-up of the replay backend in pool workers "
+            "skip warm-up of the replay backend in pool workers "
             "(also via $SMASH_REPRO_POOL_WARMUP=0)"
         ),
     )

@@ -443,10 +443,9 @@ def _init_worker_overrides(
     The "no override" sentinels cannot cross the process boundary (pickling
     creates fresh objects that no longer compare identical), so presence is
     carried as explicit booleans. With ``warmup`` the worker pays the
-    effective replay backend's one-time setup cost — numba JIT for
-    ``"compiled"`` — at pool start via
-    :func:`repro.sim.memory.prime_replay_backend`, so the first real job is
-    never the one that compiles. Overrides are pinned first, so the warm-up
+    effective replay backend's one-time setup cost at pool start via
+    :func:`repro.sim.memory.prime_replay_backend`, so the first real job
+    never pays it. Overrides are pinned first, so the warm-up
     primes the backend the jobs will actually use.
     """
     if has_chunk:
@@ -482,7 +481,7 @@ class SweepRunner:
     tasks, 1 = the historical one-job-per-task dispatch) — inside a worker
     a chunk's kernel jobs batch their replays through one merged backend
     call per hierarchy, exactly as the serial batcher does — and
-    ``pool_warmup`` (default on) pre-JITs the replay backend in each worker
+    ``pool_warmup`` (default on) warms the replay backend in each worker
     at pool start. Results are independent of all eight knobs — ``None``
     defers ``replay_batch``/``replay_profile``/``pool_chunk``/
     ``pool_warmup`` to their environment variables.

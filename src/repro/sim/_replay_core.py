@@ -1,6 +1,6 @@
 """Pluggable replay backends for :meth:`repro.sim.memory.MemoryHierarchy.replay`.
 
-The memory hierarchy's batched replay has three interchangeable engines, all
+The memory hierarchy's batched replay has two interchangeable engines, both
 operating on the *head* arrays the dispatcher in :mod:`repro.sim.memory`
 prepares (coalesced accesses: one entry per run of consecutive same
 structure/line/kind accesses):
@@ -37,15 +37,9 @@ structure/line/kind accesses):
      state (both reconstructed exactly at the end of each segment, keeping
      the chunk-boundary contract of :mod:`repro.sim.trace` intact).
 
-* ``"compiled"`` — numba-JIT transcriptions of the reference loop's three
-  phases (see :mod:`repro.sim._replay_compiled`); registered only for
-  selection here, falling back to ``"vectorized"`` with a one-time warning
-  when numba is not importable (:func:`effective_backend`).
-
-The array engines *delegate to the reference loop* whenever exactness
+The array engine *delegates to the reference loop* whenever exactness
 would be at risk or the array form cannot pay for itself: tiny segments
-(below :data:`MIN_VECTORIZED_HEADS` / ``MIN_COMPILED_HEADS``, e.g. the
-per-element ``access`` shim) and segments that would overflow the
+(below :data:`MIN_VECTORIZED_HEADS`, e.g. the per-element ``access`` shim) and segments that would overflow the
 prefetcher's stream table (the loop's arbitrary-eviction order is not worth
 replicating in array form).  Results are identical either way; only the
 wall clock changes.
@@ -62,7 +56,6 @@ from __future__ import annotations
 
 import contextlib
 import time
-import warnings
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -163,41 +156,15 @@ def resolve_backend(name: Optional[str] = None):
     return REPLAY_BACKENDS.get(name if name is not None else replay_backend_name())
 
 
-#: Backend the ``"compiled"`` tier degrades to when numba is unavailable.
-_COMPILED_FALLBACK = "vectorized"
-
-_fallback_warned = False
-
-
 def effective_backend(name: Optional[str] = None) -> str:
     """The canonical backend name that will actually run for ``name``.
 
-    Resolves aliases through the registry (unknown names raise the
-    registry's did-you-mean error), then degrades ``"compiled"`` to the
-    vectorized engine when its JIT dependency (numba) is unavailable — with
-    a one-time warning rather than an error, so selecting the compiled tier
-    in an environment without numba still produces bit-identical results,
-    just without the speedup.
+    Resolves aliases through the registry; unknown names raise the
+    registry's did-you-mean error.
     """
-    canonical = REPLAY_BACKENDS.resolve(
+    return REPLAY_BACKENDS.resolve(
         name if name is not None else replay_backend_name()
     )
-    if canonical == "compiled":
-        from repro.sim import _replay_compiled
-
-        if not _replay_compiled.kernels_available():
-            global _fallback_warned
-            if not _fallback_warned:
-                _fallback_warned = True
-                warnings.warn(
-                    "replay backend 'compiled' requires numba, which is not "
-                    f"installed; falling back to {_COMPILED_FALLBACK!r} "
-                    "(results are bit-identical, only slower)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return _COMPILED_FALLBACK
-    return canonical
 
 
 # --------------------------------------------------------------------------- #
@@ -1363,7 +1330,3 @@ def replay_vectorized(
         _record_phase("stalls", time.perf_counter() - t0)
     return added
 
-
-# The compiled tier registers itself on import; importing it last keeps its
-# dependencies (the registry and the reference loop above) fully defined.
-from repro.sim import _replay_compiled as _replay_compiled  # noqa: E402,F401

@@ -342,7 +342,7 @@ class ReplayBatcher:
     hierarchy statistics after :meth:`flush`).  Flushing concatenates each
     hierarchy's segments into one merged trace and replays it in a single
     backend invocation, which amortizes per-call dispatch, marshalling, and
-    JIT/numpy overhead across jobs while keeping per-hierarchy state fully
+    numpy overhead across jobs while keeping per-hierarchy state fully
     independent.  Merging is exact by the chunk-boundary contract: replaying
     one hierarchy's segments back-to-back in one call is bit-identical to
     replaying them separately, for any cut points.
@@ -443,9 +443,8 @@ def prime_replay_backend(backend: Optional[str] = None) -> str:
     """Pay the replay backend's one-time setup cost now; return its name.
 
     Replays a small synthetic trace through a throwaway hierarchy so any
-    lazy per-process initialization the effective backend performs — numba
-    JIT compilation for ``"compiled"``, first-call numpy machinery for the
-    array engines — happens at a controlled moment (pool-worker start, see
+    lazy per-process initialization the effective backend performs — the
+    array engine's first-call numpy machinery — happens at a controlled moment (pool-worker start, see
     ``repro.eval.runner._init_worker_overrides``) rather than inside the
     first real job. The trace exceeds the engines' delegate-to-reference
     head thresholds and mixes all three access kinds, so every phase of the
@@ -458,7 +457,7 @@ def prime_replay_backend(backend: Optional[str] = None) -> str:
         return name
     hierarchy = MemoryHierarchy(SimConfig.default(), replay_backend=name)
     line_bytes = hierarchy.config.l1.line_bytes
-    n = 2048  # > MIN_VECTORIZED_HEADS / MIN_COMPILED_HEADS, still sub-second
+    n = 2048  # > MIN_VECTORIZED_HEADS, still sub-second
     addresses = np.arange(n, dtype=np.int64) * line_bytes  # one line per access
     kinds = np.zeros(n, dtype=np.uint8)  # KIND_STREAM
     kinds[1::3] = KIND_DEPENDENT

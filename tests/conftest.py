@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 import pytest
 
+from repro.api.session import Session
 from repro.core.config import SMASHConfig
 from repro.core.smash_matrix import SMASHMatrix
 from repro.formats.coo import COOMatrix
@@ -75,3 +78,10 @@ def medium_smash(medium_coo: COOMatrix, smash_config: SMASHConfig) -> SMASHMatri
 def scaled_sim_config() -> SimConfig:
     """The scaled cache hierarchy used by the experiment drivers."""
     return SimConfig.scaled(16)
+
+
+@pytest.fixture
+def session() -> Iterator[Session]:
+    """A Session with the environment's runtime knobs, for ``run_kernel``."""
+    with Session() as session:
+        yield session

@@ -4,7 +4,6 @@ import json
 import pathlib
 import re
 
-import numpy as np
 import pytest
 
 from repro.api.config import (
@@ -20,7 +19,6 @@ from repro.api.specs import JobSpec, SweepResult, SweepSpec, Workload, suite_nnz
 from repro.eval.cli import main as cli_main
 from repro.eval.experiments import experiment_fig10_11
 from repro.eval.runner import SweepRunner, app_job, job_key, kernel_job
-from repro.kernels.schemes import run_spadd, run_spmm, run_spmv
 from repro.sim.config import SimConfig
 from repro.sim.trace import DEFAULT_CHUNK_ACCESSES
 from repro.workloads.suite import generate_matrix
@@ -369,46 +367,29 @@ class TestSession:
         with pytest.raises(ValueError, match="did you mean 'spmv' or 'spmm'"):
             _uncached_session().run_kernel("spm", "taco_csr", medium_coo)
 
+    def test_run_kernel_validates_scheme_name(self, medium_coo):
+        with pytest.raises(ValueError, match="did you mean"):
+            _uncached_session().run_kernel("spmv", "taco_cs", medium_coo)
 
-class TestDeprecationShims:
-    def test_shims_warn(self, medium_coo):
-        with pytest.warns(DeprecationWarning, match="run_spmv is deprecated"):
-            run_spmv("taco_csr", medium_coo, sim_config=SIM)
-        with pytest.warns(DeprecationWarning, match="run_spmm is deprecated"):
-            run_spmm("taco_csr", medium_coo, sim_config=SIM)
-        with pytest.warns(DeprecationWarning, match="run_spadd is deprecated"):
-            run_spadd("taco_csr", medium_coo, sim_config=SIM)
-
-    def test_shim_reports_bit_identical_to_session_run(self):
+    def test_run_kernel_reports_bit_identical_to_session_run(self):
         # The same workload addressed declaratively (Session.run, JSON
-        # round-tripped through the sweep engine) and imperatively (the
-        # deprecated module-level runner on the materialized matrix) must
-        # produce equal reports, field for field.
+        # round-tripped through the sweep engine) and imperatively
+        # (run_kernel on the materialized matrix) must produce equal
+        # reports, field for field.
         coo = generate_matrix("M8", dim=48)
         config = SMASHConfig((2, 4, 16))
-        for kernel, shim in (("spmv", run_spmv), ("spmm", run_spmm), ("spadd", run_spadd)):
+        session = _uncached_session()
+        for kernel in ("spmv", "spmm", "spadd"):
             scheme = "smash_hw" if kernel != "spadd" else "taco_csr"
             spec = JobSpec(
                 kernel, scheme, Workload.suite("M8", 48),
                 smash=config if scheme == "smash_hw" else None,
             )
-            declarative = _uncached_session().run(spec)
-            with pytest.warns(DeprecationWarning):
-                imperative = shim(scheme, coo, smash_config=config, sim_config=SimConfig.default())
+            declarative = session.run(spec)
+            imperative = session.run_kernel(
+                kernel, scheme, coo, smash=config, sim=SimConfig.default()
+            )
             assert imperative.report == declarative, kernel
-
-    def test_shim_matches_run_kernel_exactly(self, medium_coo):
-        session = _uncached_session(sim=SIM)
-        direct = session.run_kernel("spmv", "taco_csr", medium_coo)
-        with pytest.warns(DeprecationWarning):
-            shimmed = run_spmv("taco_csr", medium_coo, sim_config=SIM)
-        np.testing.assert_array_equal(direct.output, shimmed.output)
-        assert direct.report == shimmed.report
-
-    def test_shims_still_validate_schemes(self, medium_coo):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="did you mean"):
-                run_spmv("taco_cs", medium_coo)
 
 
 class TestCLIRuntimeValidation:

@@ -1,8 +1,7 @@
-"""Replay-backend equivalence: vectorized/compiled vs reference, bit for bit.
+"""Replay-backend equivalence: vectorized vs reference, bit for bit.
 
-The array replay engines (``repro.sim._replay_core`` /
-``repro.sim._replay_compiled``) must be indistinguishable from the
-reference loop on *every* observable: the added stall cycles returned by
+The array replay engine (``repro.sim._replay_core``) must be
+indistinguishable from the reference loop on *every* observable: the added stall cycles returned by
 each ``replay`` call, every statistics counter (including the exact
 floating-point stall totals), the final cache contents *in LRU order*, and
 the prefetcher stream states — across random traces, random chunk cuts,
@@ -10,18 +9,18 @@ and every configured cache geometry.  The suite fuzzes ~50 random traces
 over several trace shapes (random addresses, strided streams, mixtures
 with repeats, tight alternation with deep reuse windows, periodic rescans
 that drive covered installs onto resident lines) plus directed edge cases,
-with the array paths forced even for tiny traces.  The compiled engine's
-kernels run regardless of whether numba is installed (they degrade to
-their pure-Python bodies), so the same control flow is asserted on every
-machine; the numba CI leg re-runs the suite with real JIT compilation.
+with the array paths forced even for tiny traces.
 """
 
-import warnings
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-import repro.sim._replay_compiled as replay_compiled
 import repro.sim._replay_core as replay_core
 from repro.api.config import RuntimeConfig
 from repro.sim._replay_core import REPLAY_BACKENDS, backend_override, replay_backend_name
@@ -29,19 +28,13 @@ from repro.sim.config import CacheConfig, SimConfig
 from repro.sim.memory import AccessType, MemoryHierarchy, MemoryRequest
 
 #: Every engine that must match the reference loop bit for bit.
-ARRAY_BACKENDS = ("vectorized", "compiled")
+ARRAY_BACKENDS = ("vectorized",)
 
 
 @pytest.fixture(autouse=True)
 def force_array_paths(monkeypatch):
-    """Tiny fuzz traces must exercise the array engines, not the size cutoffs.
-
-    ``FORCE_PYTHON_KERNELS`` makes the compiled backend selectable (and its
-    kernels runnable, as pure Python) even without numba.
-    """
+    """Tiny fuzz traces must exercise the array engine, not the size cutoff."""
     monkeypatch.setattr(replay_core, "MIN_VECTORIZED_HEADS", 0)
-    monkeypatch.setattr(replay_compiled, "MIN_COMPILED_HEADS", 0)
-    monkeypatch.setattr(replay_compiled, "FORCE_PYTHON_KERNELS", True)
 
 
 def tiny_sim(l1=(1024, 2, 2), l2=(4096, 4, 8), l3=(8192, 4, 20)):
@@ -239,11 +232,9 @@ class TestBackendSelection:
     """The knob plumbing: registry, env var, overrides, validation."""
 
     def test_registry_names(self):
-        assert set(REPLAY_BACKENDS.names()) == {"reference", "vectorized", "compiled"}
+        assert set(REPLAY_BACKENDS.names()) == {"reference", "vectorized"}
         assert REPLAY_BACKENDS.resolve("loop") == "reference"
         assert REPLAY_BACKENDS.resolve("array") == "vectorized"
-        assert REPLAY_BACKENDS.resolve("numba") == "compiled"
-        assert REPLAY_BACKENDS.resolve("jit") == "compiled"
 
     def test_default_is_vectorized(self, monkeypatch):
         monkeypatch.delenv("SMASH_REPRO_REPLAY_BACKEND", raising=False)
@@ -285,60 +276,30 @@ class TestBackendSelection:
         """The registry's did-you-mean error reaches backend resolution."""
         from repro.api.registry import UnknownNameError
 
-        with pytest.raises(UnknownNameError, match="did you mean 'compiled'"):
-            REPLAY_BACKENDS.resolve("complied")
+        with pytest.raises(UnknownNameError, match="did you mean 'vectorized'"):
+            REPLAY_BACKENDS.resolve("vectorised")
         with pytest.raises(ValueError, match="replay backend"):
-            RuntimeConfig(replay_backend="complied")
+            RuntimeConfig(replay_backend="vectorised")
 
-    def test_compiled_selectable_when_available(self):
-        """With kernels available the compiled tier resolves to itself."""
-        h = MemoryHierarchy(SimConfig.scaled(16), replay_backend="compiled")
-        assert h.replay_backend == "compiled"
-        assert RuntimeConfig(replay_backend="numba").replay_backend == "compiled"
-
-
-class TestCompiledFallback:
-    """Without numba, "compiled" degrades to "vectorized" — warning once."""
-
-    @pytest.fixture(autouse=True)
-    def without_numba(self, monkeypatch):
-        monkeypatch.setattr(replay_compiled, "FORCE_PYTHON_KERNELS", False)
-        monkeypatch.setattr(replay_compiled, "NUMBA_AVAILABLE", False)
-        monkeypatch.setattr(replay_core, "_fallback_warned", False)
-
-    def test_falls_back_to_vectorized_with_one_warning(self):
-        with pytest.warns(RuntimeWarning, match="numba"):
-            h = MemoryHierarchy(SimConfig.scaled(16), replay_backend="compiled")
-        assert h.replay_backend == "vectorized"
-        # The warning fires once per process, not once per hierarchy.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            again = MemoryHierarchy(SimConfig.scaled(16), replay_backend="compiled")
-        assert again.replay_backend == "vectorized"
-        assert caught == []
-
-    def test_fallback_is_not_an_error_end_to_end(self):
-        """A kernel run under the unavailable tier completes normally."""
-        from repro.api import Session
-        from repro.workloads.suite import generate_matrix
-
-        coo = generate_matrix("M2", dim=48)
-        runtime = RuntimeConfig(processes=1, cache_dir=None, replay_backend="compiled")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with Session(sim=SimConfig.scaled(16), runtime=runtime) as session:
-                fallback = session.run_kernel("spmv", "taco_csr", coo)
-            with Session(
-                sim=SimConfig.scaled(16),
-                runtime=RuntimeConfig(processes=1, cache_dir=None, replay_backend="vectorized"),
-            ) as session:
-                direct = session.run_kernel("spmv", "taco_csr", coo)
-        assert fallback.report == direct.report
-
-    def test_config_still_accepts_the_name(self):
-        """Selection is valid config everywhere; only resolution degrades."""
-        assert RuntimeConfig(replay_backend="compiled").replay_backend == "compiled"
-        assert replay_core.effective_backend("compiled") == "vectorized"
+    @pytest.mark.parametrize("name", ["compiled", "numba", "jit"])
+    def test_retired_compiled_names_are_rejected(self, name, monkeypatch):
+        """The compiled tier and its aliases are gone: config, env and CLI refuse them."""
+        known = re.escape("['reference', 'vectorized']")
+        with pytest.raises(ValueError, match=f"must be one of {known}, got '{name}'"):
+            RuntimeConfig(replay_backend=name)
+        monkeypatch.setenv("SMASH_REPRO_REPLAY_BACKEND", name)
+        with pytest.raises(ValueError, match="SMASH_REPRO_REPLAY_BACKEND"):
+            RuntimeConfig.from_env()
+        monkeypatch.delenv("SMASH_REPRO_REPLAY_BACKEND")
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        cli = subprocess.run(
+            [sys.executable, "-m", "repro.eval", "run", "figure10", "--quick",
+             "--no-cache", "--replay-backend", name],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert cli.returncode == 2, cli.stderr
 
 
 class TestWorkerPoolPinning:
@@ -368,8 +329,8 @@ class TestWorkerPoolPinning:
             replay_core.set_backend_override(None)
 
 
-class TestCompiledKernelEquivalence:
-    """Real kernel traces through the compiled engine, at several chunk cuts."""
+class TestKernelTraceEquivalence:
+    """Real kernel traces through the array engines, at several chunk cuts."""
 
     @pytest.mark.parametrize("chunk", [0, 7, 4096])
     def test_spmv_schemes_match_reference(self, chunk):
@@ -379,7 +340,7 @@ class TestCompiledKernelEquivalence:
 
         coo = generate_matrix("M8", dim=48)
         reports = {}
-        for backend in ("reference", "compiled"):
+        for backend in ("reference",) + ARRAY_BACKENDS:
             runtime = RuntimeConfig(
                 processes=1,
                 cache_dir=None,
@@ -391,7 +352,8 @@ class TestCompiledKernelEquivalence:
                     scheme: session.run_kernel("spmv", scheme, coo).report
                     for scheme in ("taco_csr", "smash_sw", "smash_hw")
                 }
-        assert reports["compiled"] == reports["reference"]
+        for backend in ARRAY_BACKENDS:
+            assert reports[backend] == reports["reference"], backend
 
 
 class TestSnapshotStatsRegression:
