@@ -114,6 +114,28 @@ def sorted_unique(values) -> np.ndarray:
     return aux[mask]
 
 
+def check_segments_increasing(
+    ptr: np.ndarray, index: np.ndarray, index_name: str, segment_name: str
+) -> None:
+    """Require ``index`` to be strictly increasing within every ``ptr`` segment.
+
+    ``ptr`` is a validated compressed pointer array (starts at 0, ends at
+    ``index.size``, non-decreasing). One ``diff`` over the whole index array
+    finds every non-increasing neighbour pair; pairs that straddle a segment
+    boundary are exempt. The first violation names its segment, which is the
+    first segment a per-segment scan would reject.
+    """
+    bad = np.diff(index) <= 0
+    heads = ptr[1:-1]
+    heads = heads[(heads > 0) & (heads < index.size)]
+    bad[heads - 1] = False
+    if bad.any():
+        segment = int(np.searchsorted(ptr, np.argmax(bad), side="right")) - 1
+        raise FormatError(
+            f"{index_name} indices in {segment_name} {segment} must be strictly increasing"
+        )
+
+
 def as_value_array(values, length: int | None = None) -> np.ndarray:
     """Coerce ``values`` to a contiguous float64 array, validating length."""
     arr = np.ascontiguousarray(values, dtype=np.float64)

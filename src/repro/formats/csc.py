@@ -19,6 +19,7 @@ from repro.formats.base import (
     MatrixFormat,
     as_index_array,
     as_value_array,
+    check_segments_increasing,
     check_shape,
 )
 
@@ -44,11 +45,7 @@ class CSCMatrix(MatrixFormat):
         if self.row_ind.size:
             if self.row_ind.min() < 0 or self.row_ind.max() >= rows:
                 raise FormatError("row index out of bounds")
-        for j in range(self.shape[1]):
-            start, end = self.col_ptr[j], self.col_ptr[j + 1]
-            col_rows = self.row_ind[start:end]
-            if np.any(np.diff(col_rows) <= 0):
-                raise FormatError(f"row indices in column {j} must be strictly increasing")
+        check_segments_increasing(self.col_ptr, self.row_ind, "row", "column")
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "CSCMatrix":

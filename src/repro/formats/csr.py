@@ -13,6 +13,7 @@ from repro.formats.base import (
     MatrixFormat,
     as_index_array,
     as_value_array,
+    check_segments_increasing,
     check_shape,
 )
 
@@ -40,7 +41,7 @@ class CSRMatrix(MatrixFormat):
         self._validate()
 
     def _validate(self) -> None:
-        rows, cols = self.shape
+        _rows, cols = self.shape
         if self.row_ptr[0] != 0:
             raise FormatError("row_ptr must start at 0")
         if self.row_ptr[-1] != self.col_ind.size:
@@ -50,11 +51,7 @@ class CSRMatrix(MatrixFormat):
         if self.col_ind.size:
             if self.col_ind.min() < 0 or self.col_ind.max() >= cols:
                 raise FormatError("column index out of bounds")
-        for i in range(rows):
-            start, end = self.row_ptr[i], self.row_ptr[i + 1]
-            row_cols = self.col_ind[start:end]
-            if np.any(np.diff(row_cols) <= 0):
-                raise FormatError(f"column indices in row {i} must be strictly increasing")
+        check_segments_increasing(self.row_ptr, self.col_ind, "column", "row")
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "CSRMatrix":

@@ -7,12 +7,14 @@ merge over ``col_ind`` arrays. The kernels here provide the CSR baseline, the
 idealized-indexing variant used in Figure 3, and a SMASH variant that merges
 the operands at NZA-block granularity through the BMU.
 
-The batched implementations derive each row's (or the whole bitmap's) merge
-sequence from searchsorted arithmetic over the sorted index arrays and
-scatter the per-step loads/stores into one trace segment, reproducing the
-per-element reference kernels in :mod:`repro.kernels.legacy` bit-exactly at
-any chunk budget (the per-row segments stream through the bounded-memory
-chunked replay of DESIGN.md section 10).
+The batched implementations derive the whole matrix's merge sequence in one
+pass -- the union of row-major ``row * cols + col`` keys for CSR, of Bitmap-0
+block bits for SMASH -- from searchsorted arithmetic over the sorted index
+arrays, and scatter the per-step loads/stores into one trace segment per
+call. They reproduce the per-element reference kernels in
+:mod:`repro.kernels.legacy` bit-exactly at any chunk budget: the builder
+slices the segment to the budget of the bounded-memory chunked replay
+(DESIGN.md section 10).
 """
 
 from __future__ import annotations
@@ -38,6 +40,12 @@ def _check_shapes(a_shape, b_shape) -> None:
         raise ValueError(f"operand shapes do not match: {a_shape} vs {b_shape}")
 
 
+def _row_major_keys(m: CSRMatrix) -> np.ndarray:
+    """``row * cols + col`` of every stored element, in storage order."""
+    rows_of = np.repeat(np.arange(m.rows, dtype=np.int64), np.diff(m.row_ptr))
+    return rows_of * m.cols + m.col_ind
+
+
 def _spadd_csr_like(
     a: CSRMatrix,
     b: CSRMatrix,
@@ -51,6 +59,7 @@ def _spadd_csr_like(
     register_csr(instr, "B", b)
     instr.register_array("C", a.rows * a.cols * VAL)
 
+    rows, cols = a.shape
     c = np.zeros(a.shape, dtype=np.float64)
     builder = instr.trace_builder()
     id_aci = builder.structure_id("A_col_ind")
@@ -58,84 +67,84 @@ def _spadd_csr_like(
     id_av = builder.structure_id("A_values")
     id_bv = builder.structure_id("B_values")
     id_c = builder.structure_id("C")
+    id_arp = builder.structure_id("A_row_ptr")
+    id_brp = builder.structure_id("B_row_ptr")
 
-    total_steps = 0
-    a_loads = b_loads = 0
-    index_loads = 0
-    for i in range(a.rows):
-        builder.add_one("A_row_ptr", (i + 1) * IDX, KIND_STREAM)
-        builder.add_one("B_row_ptr", (i + 1) * IDX, KIND_STREAM)
-        a_start, a_end = int(a.row_ptr[i]), int(a.row_ptr[i + 1])
-        b_start, b_end = int(b.row_ptr[i]), int(b.row_ptr[i + 1])
-        a_cols = a.col_ind[a_start:a_end]
-        b_cols = b.col_ind[b_start:b_end]
-        la, lb = a_cols.size, b_cols.size
-        if la == 0 and lb == 0:
-            continue
-        # The merge consumes the whole union, ties advance both sides.
-        union = sorted_unique(np.concatenate([a_cols, b_cols]))
-        ka = np.searchsorted(a_cols, union)
-        kb = np.searchsorted(b_cols, union)
-        take_a = np.zeros(union.size, dtype=bool)
-        in_a = ka < la
-        take_a[in_a] = a_cols[ka[in_a]] == union[in_a]
-        take_b = np.zeros(union.size, dtype=bool)
-        in_b = kb < lb
-        take_b[in_b] = b_cols[kb[in_b]] == union[in_b]
-        steps = union.size
-        total_steps += steps
-        load_a_idx = ka < la
-        load_b_idx = kb < lb
-        if ideal_indexing:
-            lengths = take_a.astype(np.int64) + take_b + 1
-        else:
-            lengths = (
-                load_a_idx.astype(np.int64) + load_b_idx + take_a + take_b + 1
-            )
-            index_loads += int(load_a_idx.sum() + load_b_idx.sum())
-        a_loads += int(take_a.sum())
-        b_loads += int(take_b.sum())
-        starts = exclusive_cumsum(lengths)
-        seg_len = int(lengths.sum())
-        ids = np.empty(seg_len, dtype=np.int64)
-        offsets = np.empty(seg_len, dtype=np.int64)
-        kinds = np.full(seg_len, KIND_STREAM, dtype=np.uint8)
-        cursor = starts.copy()
-        if not ideal_indexing:
-            # Position discovery: load and compare the column indices.
-            pos = cursor[load_a_idx]
-            ids[pos] = id_aci
-            offsets[pos] = (a_start + ka[load_a_idx]) * IDX
-            cursor[load_a_idx] += 1
-            pos = cursor[load_b_idx]
-            ids[pos] = id_bci
-            offsets[pos] = (b_start + kb[load_b_idx]) * IDX
-            cursor[load_b_idx] += 1
-        pos = cursor[take_a]
-        ids[pos] = id_av
-        offsets[pos] = (a_start + ka[take_a]) * VAL
-        cursor[take_a] += 1
-        pos = cursor[take_b]
-        ids[pos] = id_bv
-        offsets[pos] = (b_start + kb[take_b]) * VAL
-        cursor[take_b] += 1
-        ids[cursor] = id_c
-        offsets[cursor] = (i * a.cols + union) * VAL
-        kinds[cursor] = KIND_WRITE
-        builder.add_columns(ids, offsets, kinds)
+    # Row-major keys are sorted within each operand, so their union is every
+    # row's merge sequence laid end to end; ties advance both sides.
+    a_keys = _row_major_keys(a)
+    b_keys = _row_major_keys(b)
+    union = sorted_unique(np.concatenate([a_keys, b_keys]))
+    row = union // cols
+    # Global merge cursors: a side is live until it passes its row's end.
+    ka = np.searchsorted(a_keys, union)
+    kb = np.searchsorted(b_keys, union)
+    load_a_idx = ka < a.row_ptr[row + 1]
+    load_b_idx = kb < b.row_ptr[row + 1]
+    take_a = load_a_idx.copy()
+    take_a[load_a_idx] = a_keys[ka[load_a_idx]] == union[load_a_idx]
+    take_b = load_b_idx.copy()
+    take_b[load_b_idx] = b_keys[kb[load_b_idx]] == union[load_b_idx]
+    total_steps = int(union.size)
+    if ideal_indexing:
+        lengths = take_a.astype(np.int64) + take_b + 1
+        index_loads = 0
+    else:
+        lengths = load_a_idx.astype(np.int64) + load_b_idx + take_a + take_b + 1
+        index_loads = int(load_a_idx.sum() + load_b_idx.sum())
+    a_loads = int(take_a.sum())
+    b_loads = int(take_b.sum())
 
-        values = np.zeros(union.size, dtype=np.float64)
-        values[take_a] += a.values[a_start + ka[take_a]]
-        values[take_b] += b.values[b_start + kb[take_b]]
-        c[i, union] = values
+    # Every row's two row_ptr loads precede its steps, empty rows included.
+    done = np.zeros(total_steps + 1, dtype=np.int64)
+    np.cumsum(lengths, out=done[1:])
+    row_ids = np.arange(rows, dtype=np.int64)
+    ptr_pos = done[np.searchsorted(row, row_ids)] + 2 * row_ids
+    seg_len = int(done[-1]) + 2 * rows
+    ids = np.empty(seg_len, dtype=np.int64)
+    offsets = np.empty(seg_len, dtype=np.int64)
+    kinds = np.full(seg_len, KIND_STREAM, dtype=np.uint8)
+    ids[ptr_pos] = id_arp
+    offsets[ptr_pos] = (row_ids + 1) * IDX
+    ids[ptr_pos + 1] = id_brp
+    offsets[ptr_pos + 1] = (row_ids + 1) * IDX
+
+    cursor = done[:-1] + 2 * (row + 1)
+    if not ideal_indexing:
+        # Position discovery: load and compare the column indices.
+        pos = cursor[load_a_idx]
+        ids[pos] = id_aci
+        offsets[pos] = ka[load_a_idx] * IDX
+        cursor[load_a_idx] += 1
+        pos = cursor[load_b_idx]
+        ids[pos] = id_bci
+        offsets[pos] = kb[load_b_idx] * IDX
+        cursor[load_b_idx] += 1
+    pos = cursor[take_a]
+    ids[pos] = id_av
+    offsets[pos] = ka[take_a] * VAL
+    cursor[take_a] += 1
+    pos = cursor[take_b]
+    ids[pos] = id_bv
+    offsets[pos] = kb[take_b] * VAL
+    cursor[take_b] += 1
+    ids[cursor] = id_c
+    offsets[cursor] = union * VAL
+    kinds[cursor] = KIND_WRITE
+    builder.add_columns(ids, offsets, kinds)
+
+    values = np.zeros(total_steps, dtype=np.float64)
+    values[take_a] += a.values[ka[take_a]]
+    values[take_b] += b.values[kb[take_b]]
+    c.reshape(-1)[union] = values
 
     instr.replay_trace(builder.build())
     instr.count_batch(
         {
-            InstructionClass.LOAD: 2 * a.rows + index_loads + a_loads + b_loads,
-            InstructionClass.INDEX: a.rows * (1 if ideal_indexing else 2)
+            InstructionClass.LOAD: 2 * rows + index_loads + a_loads + b_loads,
+            InstructionClass.INDEX: rows * (1 if ideal_indexing else 2)
             + (0 if ideal_indexing else 3) * total_steps,
-            InstructionClass.BRANCH: a.rows + (0 if ideal_indexing else 1) * total_steps,
+            InstructionClass.BRANCH: rows + (0 if ideal_indexing else 1) * total_steps,
             InstructionClass.COMPUTE: total_steps,
             InstructionClass.STORE: total_steps,
         }

@@ -1,10 +1,12 @@
 """Property-based tests for the sparse formats (hypothesis)."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.formats.base import FormatError
 from repro.formats.bcsr import BCSRMatrix
 from repro.formats.coo import COOMatrix
 from repro.formats.convert import coo_to_csc, coo_to_csr, csr_to_csc
@@ -86,3 +88,58 @@ def test_storage_bytes_positive_and_consistent(dense):
     assert csr.storage_bytes() >= 0
     # CSR and CSC sizes differ only through the pointer arrays.
     assert abs(csr.storage_bytes() - csc.storage_bytes()) == 4 * abs(dense.shape[0] - dense.shape[1])
+
+
+def _loop_order_error(ptr, index, index_name, segment_name):
+    """The per-segment scan ``_validate`` ran before it was vectorized.
+
+    Kept as the oracle of ``check_segments_increasing``: the message of the
+    first segment whose indices are not strictly increasing, else ``None``.
+    """
+    for seg in range(ptr.size - 1):
+        if np.any(np.diff(index[ptr[seg] : ptr[seg + 1]]) <= 0):
+            return f"{index_name} indices in {segment_name} {seg} must be strictly increasing"
+    return None
+
+
+_SEGMENTS = st.lists(
+    st.one_of(
+        st.lists(st.integers(0, 7), max_size=5, unique=True).map(sorted),
+        st.lists(st.integers(0, 7), max_size=5),
+    ),
+    max_size=8,
+)
+
+
+def _order_outcome(build):
+    try:
+        build()
+    except FormatError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("fmt", ["csr", "csc"])
+@settings(max_examples=150, deadline=None)
+@given(segments=_SEGMENTS)
+@example(segments=[[1, 1]])  # duplicate index within a segment
+@example(segments=[[0], [3, 1]])  # descent inside a segment
+@example(segments=[[2, 5], [0, 1]])  # descent across a boundary: accepted
+@example(segments=[[5], [0, 1], [1], [0]])  # a descent at every boundary
+@example(segments=[[], [1, 2], []])  # empty segments at both ends, accepted
+@example(segments=[[], [2, 1], []])  # ... rejected inside
+@example(segments=[[], [], [0, 0]])  # rejected in the last segment
+@example(segments=[[4, 4], [], [], [3, 2]])  # two bad segments: the first is named
+@example(segments=[])
+def test_order_check_matches_per_segment_loop(fmt, segments):
+    ptr = np.zeros(len(segments) + 1, dtype=np.int64)
+    np.cumsum([len(seg) for seg in segments], out=ptr[1:])
+    index = np.array([i for seg in segments for i in seg], dtype=np.int64)
+    values = np.ones(index.size)
+    if fmt == "csr":
+        expected = _loop_order_error(ptr, index, "column", "row")
+        got = _order_outcome(lambda: CSRMatrix((len(segments), 8), ptr, index, values))
+    else:
+        expected = _loop_order_error(ptr, index, "row", "column")
+        got = _order_outcome(lambda: CSCMatrix((8, len(segments)), ptr, index, values))
+    assert got == expected

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.config import SMASHConfig
 from repro.core.smash_matrix import SMASHMatrix
 from repro.formats.bcsr import BCSRMatrix
 from repro.formats.csr import CSRMatrix

@@ -14,7 +14,6 @@ from repro.lint import (
     SourceFile,
     Violation,
     all_rules,
-    lint_paths,
     lint_source,
     module_name_for,
     rule_ids,

@@ -335,7 +335,6 @@ class TestKernelTraceEquivalence:
     @pytest.mark.parametrize("chunk", [0, 7, 4096])
     def test_spmv_schemes_match_reference(self, chunk):
         from repro.api import Session
-        from repro.sim import trace as _trace
         from repro.workloads.suite import generate_matrix
 
         coo = generate_matrix("M8", dim=48)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.config import CPUConfig, InstructionCosts, RealSystemConfig, SimConfig
+from repro.sim.config import InstructionCosts, RealSystemConfig, SimConfig
 from repro.sim.cpu import CPUModel
 from repro.sim.instrumentation import (
     CostReport,

@@ -17,7 +17,6 @@ from repro.sim.trace import (
     exclusive_cumsum,
     grouped_arange,
 )
-from repro.workloads.synthetic import clustered_matrix
 
 
 class TestHelpers:

@@ -15,8 +15,13 @@ cut streaming runs mid-run — must produce reports bit-identical to the
 monolithic build-then-replay path (and hence to the legacy kernels).
 """
 
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.config import SMASHConfig
 from repro.core.smash_matrix import SMASHMatrix
@@ -24,11 +29,12 @@ from repro.eval.experiments import DEFAULT_SPMM_DIM
 from repro.formats.bcsr import BCSRMatrix
 from repro.formats.coo import COOMatrix
 from repro.formats.convert import coo_to_csc, coo_to_csr
+from repro.formats.csr import CSRMatrix
 from repro.kernels import legacy, spadd, spmm, spmv
 from repro.kernels.schemes import prepare_operand
 from repro.sim.config import SimConfig
 from repro.sim.instrumentation import InstructionClass
-from repro.sim.trace import CHUNK_ENV_VAR
+from repro.sim.trace import CHUNK_ENV_VAR, chunk_override
 from repro.workloads.suite import generate_matrix, get_spec
 from repro.workloads.synthetic import clustered_matrix, uniform_random_matrix
 
@@ -250,7 +256,7 @@ class TestSpAddEquivalence:
             c_new, r_new = batched_fn(a_csr, b_csr, SIM)
             c_old, r_old = reference_fn(a_csr, b_csr, SIM)
             assert_reports_identical(r_new, r_old, batched_fn.__name__)
-            np.testing.assert_allclose(c_new, c_old)
+            np.testing.assert_array_equal(c_new, c_old)
 
     @pytest.mark.parametrize("config_name", sorted(SMASH_CONFIGS))
     def test_smash_hw(self, workload, config_name):
@@ -261,7 +267,82 @@ class TestSpAddEquivalence:
         c_new, r_new = spadd.spadd_smash_hardware_instrumented(a_sm, b_sm, SIM)
         c_old, r_old = legacy.spadd_smash_hardware_instrumented(a_sm, b_sm, SIM)
         assert_reports_identical(r_new, r_old, f"spadd_smash/{config_name}")
-        np.testing.assert_allclose(c_new, c_old)
+        np.testing.assert_array_equal(c_new, c_old)
+
+
+_CELL = st.one_of(
+    st.just(0.0),
+    st.just(0.0),
+    st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False, allow_subnormal=False),
+)
+
+
+@st.composite
+def spadd_operands(draw):
+    """Dense ``(A, B)`` pairs with empty rows and every merge relation.
+
+    B is drawn independently of A, equal to A (every merge step a tie), with
+    a column set disjoint from A's, or both operands are zeroed. Outside the
+    tie case each operand's rows are emptied at random, so a row can be empty
+    in A only, in B only, or in both.
+    """
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    a = draw(hnp.arrays(np.float64, (rows, cols), elements=_CELL))
+    relation = draw(st.sampled_from(["independent", "identical", "disjoint", "zero"]))
+    a[draw(hnp.arrays(bool, rows))] = 0.0
+    if relation == "identical":
+        return a, a.copy()
+    b = draw(hnp.arrays(np.float64, (rows, cols), elements=_CELL))
+    b[draw(hnp.arrays(bool, rows))] = 0.0
+    if relation == "disjoint":
+        in_a = draw(hnp.arrays(bool, cols))
+        a[:, ~in_a] = 0.0
+        b[:, in_a] = 0.0
+    elif relation == "zero":
+        a[:], b[:] = 0.0, 0.0
+    return a, b
+
+
+class TestSpAddMergeProperties:
+    """The all-rows CSR merge against the per-row legacy loop, exactly."""
+
+    PAIRS = [
+        (spadd.spadd_csr_instrumented, legacy.spadd_csr_instrumented),
+        (spadd.spadd_ideal_csr_instrumented, legacy.spadd_ideal_csr_instrumented),
+    ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(operands=spadd_operands())
+    @example(operands=(np.array([[1.5]]), np.array([[-2.0]])))
+    @example(operands=(np.array([[0.0, 1.0, 0.0, 2.0]]), np.array([[3.0, 1.0, 0.0, 0.0]])))
+    @example(operands=(np.array([[1.0], [0.0], [2.0]]), np.array([[0.0], [0.0], [4.0]])))
+    @example(operands=(np.zeros((3, 4)), np.zeros((3, 4))))
+    @example(
+        # Row 0 empty in A only, row 3 in B only, rows 1 and 4 in both.
+        operands=(
+            np.array([[0, 0, 0], [0, 0, 0], [1, 0, 2], [3, 0, 0], [0, 0, 0.0]]),
+            np.array([[0, 5, 0], [0, 0, 0], [0, 1, 2], [0, 0, 0], [0, 0, 0.0]]),
+        )
+    )
+    @example(
+        operands=(
+            np.array([[0, 0, 0], [1, 0, 2], [0, 0, 0.0]]),
+            np.array([[0, 0, 0], [1, 0, 2], [0, 0, 0.0]]),
+        )
+    )
+    @example(operands=(np.array([[1, 0, 2, 0.0]] * 3), np.array([[0, 3, 0, 4.0]] * 3)))
+    def test_csr_family_matches_legacy(self, operands):
+        a = CSRMatrix.from_dense(operands[0])
+        b = CSRMatrix.from_dense(operands[1])
+        for batched_fn, reference_fn in self.PAIRS:
+            c_old, r_old = reference_fn(a, b, SIM)
+            for budget in (None, 3):
+                scope = contextlib.nullcontext() if budget is None else chunk_override(budget)
+                with scope:
+                    c_new, r_new = batched_fn(a, b, SIM)
+                tag = f"{batched_fn.__name__}/chunk={budget or 'default'}"
+                assert_reports_identical(r_new, r_old, tag)
+                np.testing.assert_array_equal(c_new, c_old, err_msg=tag)
 
 
 class TestChunkedEquivalence:
